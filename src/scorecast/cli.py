@@ -244,7 +244,6 @@ def _cmd_exchange_eval(args: argparse.Namespace) -> int:
     per_split, pooled = forecasters.evaluate_dummy_on_splits(
         splits, cfg, estimator=estimator, n_quantiles=n_quantiles, normalization=normalize
     )
-    wall = time.perf_counter() - started
 
     out = _out_dir(effective)
     config_echo = {**effective, "kind": kind, "seed": seed, "series_rows": series.length}
@@ -273,6 +272,7 @@ def _cmd_exchange_eval(args: argparse.Namespace) -> int:
                 split.input_window, split.target_window.shape[0], cfg, rng
             )
             forecasters.ensemble_to_csv(ens, out / f"samples_split_{split.split_index}.csv")
+    wall = time.perf_counter() - started
     reporting.write_manifest(out / "run_manifest.json", "exchange-eval", config_echo, seed, wall)
 
     print(f"exchange-eval[{kind}]: {len(splits)} splits -> {out} ({wall:.1f}s)")
@@ -342,6 +342,9 @@ def _read_ensemble_csv(path: str) -> np.ndarray:
                 v = float(row[3])
             except (ValueError, IndexError):
                 raise CliError(f"--ensemble: malformed row {lineno}: {row}") from None
+            # With no negative or repeated index, a full count fills every cell once.
+            if min(s, t, d) < 0 or (s, t, d) in entries:
+                raise CliError(f"--ensemble: negative or repeated index in row {lineno}: {row}")
             entries[(s, t, d)] = v
     if not entries:
         raise CliError("--ensemble: no data rows")

@@ -78,6 +78,47 @@ def _check_estimator(estimator: str) -> str:
     return estimator
 
 
+_TILE = 1 << 16  # doubles per temporary of the ES pair term: 512 KB, a core's share of L2
+
+
+def _energy_batch(
+    samples: NDArray[np.float64], obs: NDArray[np.float64], beta: float = 1.0
+) -> NDArray[np.float64]:
+    """Energy scores for a batch: samples (n, w, D), obs (n, D) -> (n,).
+
+    Squared pair distances are summed one dimension at a time in temporaries
+    of at most ``_TILE`` doubles: ``_TILE // w**2`` windows, or ``_TILE // w``
+    rows of one wider window.  Each window's mean sums its (w, w) distances
+    in one order whatever the tiling.  An overflow gives NaN, not 0.
+    """
+    n, w, D = samples.shape
+    obs_dist = np.linalg.norm(samples - obs[:, None, :], axis=2)
+    if beta != 1.0:
+        obs_dist = obs_dist**beta
+    term_obs = obs_dist.mean(axis=1)
+
+    m = max(1, _TILE // (w * w))
+    rows = max(1, _TILE // w)
+    term_pair = np.empty(n)
+    for start in range(0, n, m):
+        cols = np.ascontiguousarray(samples[start : start + m].transpose(0, 2, 1))  # (m, D, w)
+        dist = np.empty((cols.shape[0], w, w))
+        for i in range(0, w, rows):
+            sq = dist[:, i : i + rows]
+            sq.fill(0.0)
+            diff = np.empty_like(sq)
+            for d in range(D):
+                np.subtract(cols[:, d, i : i + rows, None], cols[:, d, None, :], out=diff)
+                diff *= diff
+                sq += diff
+            np.sqrt(sq, out=sq)
+        if beta != 1.0:
+            dist **= beta
+        term_pair[start : start + m] = dist.mean(axis=(1, 2))
+
+    return np.maximum(0.0, term_obs - 0.5 * term_pair)
+
+
 def energy_score(samples: ArrayLike, obs: ArrayLike, beta: float = 1.0) -> float:
     """Energy score of a single-step ensemble against a D-dimensional observation.
 
@@ -100,24 +141,14 @@ def energy_score(samples: ArrayLike, obs: ArrayLike, beta: float = 1.0) -> float
         raise ValueError(f"observation has {x.shape[0]} dims, samples have {s.shape[1]}")
     if not (np.all(np.isfinite(s)) and np.all(np.isfinite(x))):
         raise ValueError("non-finite values in samples or observation")
-    beta = _check_beta(beta)
-
-    obs_dist = np.linalg.norm(s - x, axis=1)
-    pair_dist = np.linalg.norm(s[:, None, :] - s[None, :, :], axis=2)
-    if beta != 1.0:
-        obs_dist = obs_dist**beta
-        pair_dist = pair_dist**beta
-    value = obs_dist.mean() - pair_dist.sum() / (2.0 * s.shape[0] ** 2)
-    return max(0.0, float(value))
+    return float(_energy_batch(s[None], x[None], _check_beta(beta))[0])
 
 
 def energy_series(ensemble: ArrayLike, obs: ArrayLike, beta: float = 1.0) -> NDArray[np.float64]:
     """Per-step energy scores over the horizon: returns an (H,) array."""
     ens = _as_ensemble(ensemble)
     window = _as_observation_window(obs, ens)
-    return np.array(
-        [energy_score(ens[:, t, :], window[t], beta=beta) for t in range(ens.shape[1])]
-    )
+    return _energy_batch(np.ascontiguousarray(ens.transpose(1, 0, 2)), window, _check_beta(beta))
 
 
 def energy_score_window(

@@ -17,6 +17,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .crps import crps_empirical_cdf, crps_quantile, crps_sample_estimate
+from .multivariate import _energy_batch
 
 __all__ = [
     "GaussianSpec",
@@ -147,41 +148,6 @@ def _crps_quantile_batch(
     x = obs[None, :]
     losses = (alphas[:, None] - (x < q)) * (x - q)
     return 2.0 * losses.mean(axis=0)
-
-
-def _energy_batch(
-    samples: NDArray[np.float64],
-    obs: NDArray[np.float64],
-    beta: float = 1.0,
-    chunk: Optional[int] = None,
-) -> NDArray[np.float64]:
-    """Energy scores for a batch: samples (n, w, D), obs (n, D) -> (n,).
-
-    The O(w^2) pairwise term is computed in chunks of experiments to bound
-    peak memory.
-    """
-    n, w, _ = samples.shape
-    if chunk is None:
-        chunk = max(1, int(8_000_000 // (w * w)))
-
-    obs_dist = np.linalg.norm(samples - obs[:, None, :], axis=2)
-    if beta != 1.0:
-        obs_dist = obs_dist**beta
-    term_obs = obs_dist.mean(axis=1)
-
-    term_pair = np.empty(n)
-    for start in range(0, n, chunk):
-        block = samples[start : start + chunk]  # (m, w, D)
-        sq = np.zeros((block.shape[0], w, w))
-        for d in range(block.shape[2]):
-            diff = block[:, :, None, d] - block[:, None, :, d]
-            sq += diff * diff
-        dist = np.sqrt(sq, out=sq)
-        if beta != 1.0:
-            dist = dist**beta
-        term_pair[start : start + chunk] = dist.mean(axis=(1, 2))
-
-    return np.maximum(0.0, term_obs - 0.5 * term_pair)
 
 
 # --------------------------------------------------------------------------

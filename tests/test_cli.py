@@ -281,6 +281,23 @@ def test_score_rejects_malformed_ensemble(tmp_path, stored_case, capsys):
     assert "complete rows" in capsys.readouterr().err
 
 
+def test_score_rejects_negative_and_repeated_indices(tmp_path, stored_case, capsys):
+    """Every (sample_id, t, dim) cell must be filled exactly once."""
+    _, _, ens_path, obs_path = stored_case
+    one_value_obs = tmp_path / "obs1.csv"
+    one_value_obs.write_text("1.0\n")
+    negative = tmp_path / "negative.csv"
+    negative.write_text("sample_id,t,dim,value\n-1,0,0,5.0\n1,0,0,7.0\n")
+    lines = ens_path.read_text().splitlines()
+    repeated = tmp_path / "repeated.csv"
+    repeated.write_text("\n".join(lines + [lines[1]]) + "\n")
+    for dump, obs in ((negative, one_value_obs), (repeated, obs_path)):
+        assert main([
+            "score", "--ensemble", str(dump), "--obs", str(obs), "--out", str(tmp_path / "s"),
+        ]) != 0
+        assert "negative or repeated index" in capsys.readouterr().err
+
+
 def test_ensemble_header_is_enforced(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("a,b,c,d\n0,0,0,1.0\n")

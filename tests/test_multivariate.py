@@ -13,7 +13,7 @@ from scorecast import (
     energy_series,
     score_report,
 )
-from scorecast.multivariate import ESTIMATORS, ScoreReport
+from scorecast.multivariate import ESTIMATORS, ScoreReport, _energy_batch
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +84,61 @@ def test_energy_score_shape_validation():
         energy_score(np.zeros((1, 2)), np.zeros(2))  # single sample
     with pytest.raises(ValueError):
         energy_score(np.array([[0.0, np.nan], [1.0, 2.0]]), np.zeros(2))
+
+
+def _energy_direct(samples, obs, beta=1.0):
+    """Reference ES: norms over the whole (S, S, D) array of pair differences."""
+    obs_dist = np.linalg.norm(samples - obs, axis=1)
+    pair_dist = np.linalg.norm(samples[:, None, :] - samples[None, :, :], axis=2)
+    if beta != 1.0:
+        obs_dist = obs_dist**beta
+        pair_dist = pair_dist**beta
+    return max(0.0, float(obs_dist.mean() - pair_dist.sum() / (2.0 * samples.shape[0] ** 2)))
+
+
+def _energy_three_ways(ens, obs, beta):
+    """energy_score per step, energy_series and the batch kernel on (S, H, D)."""
+    return (
+        np.array([energy_score(ens[:, t], obs[t], beta) for t in range(obs.shape[0])]),
+        energy_series(ens, obs, beta),
+        _energy_batch(np.ascontiguousarray(ens.transpose(1, 0, 2)), obs, beta),
+    )
+
+
+# S = 600 is wider than one tile, so those windows are scored in row blocks.
+@pytest.mark.parametrize(
+    "S, D, beta",
+    [(2, 1, 1.0), (21, 2, 1.0), (64, 3, 1.5), (600, 2, 1.0), (600, 7, 1.5),
+     (400, 8, 1.0), (600, 9, 1.5), (50, 16, 1.0)],
+)
+def test_energy_kernel_matches_direct_form(S, D, beta):
+    """Bit-for-bit below D = 8; from D = 8 the norm may sum in another order."""
+    gen = np.random.default_rng(S * 100 + D)
+    ens = gen.standard_normal((S, 3, D))
+    obs = gen.standard_normal((3, D))
+    want = np.array([_energy_direct(ens[:, t], obs[t], beta) for t in range(3)])
+    for got in _energy_three_ways(ens, obs, beta):
+        if D < 8:
+            assert np.array_equal(got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("D", [2, 8])
+def test_energy_point_mass_at_observation_is_exactly_zero(D):
+    obs = np.linspace(-3.0, 5.0, 2 * D).reshape(2, D)
+    ens = np.broadcast_to(obs, (600, 2, D)).copy()
+    for got in _energy_three_ways(ens, obs, 1.0):
+        assert np.array_equal(got, [0.0, 0.0])
+
+
+def test_energy_overflow_is_nan_not_zero():
+    samples = np.array([[1e200, 0.0], [-1e200, 0.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        es = energy_score(samples, [0.0, 0.0])
+        series = energy_series(samples[:, None, :], np.zeros((1, 2)))
+    assert np.isnan(es)
+    assert np.array_equal(series, [es], equal_nan=True)
 
 
 # ---------------------------------------------------------------------------

@@ -112,11 +112,13 @@ def test_energy_batch_matches_scalar_calls(rng):
 
 
 def test_energy_batch_chunking_is_invisible(rng):
-    samples = rng.standard_normal((10, 15, 3))
-    obs = rng.standard_normal((10, 3))
-    np.testing.assert_array_equal(
-        _energy_batch(samples, obs, chunk=1), _energy_batch(samples, obs, chunk=1000)
-    )
+    """A batch scores each window exactly as a batch of that window alone,
+    both with many windows per tile (w=15) and in row blocks (w=300)."""
+    for w in (15, 300):
+        samples = rng.standard_normal((10, w, 3))
+        obs = rng.standard_normal((10, 3))
+        alone = [_energy_batch(samples[i : i + 1], obs[i : i + 1])[0] for i in range(10)]
+        np.testing.assert_array_equal(_energy_batch(samples, obs), alone)
 
 
 def test_energy_batch_general_beta(rng):

@@ -105,6 +105,30 @@ def _score_rows(reports: Sequence[tuple[str, ScoreReport]]) -> list[tuple]:
     return [(label, *report.csv_row()) for label, report in reports]
 
 
+def _emit(
+    out: Path,
+    command: str,
+    config_echo: dict,
+    seed: Optional[int],
+    started: float,
+    tables: dict[str, tuple[Sequence[str], Sequence[Sequence]]],
+    documents: dict[str, dict],
+) -> float:
+    """Write a run's CSV tables and JSON documents, then its manifest.
+
+    ``tables`` maps file names to (columns, rows), ``documents`` maps file
+    names to JSON payloads.  Returns the wall time since ``started``, taken
+    after the reports are written and recorded in the manifest.
+    """
+    for name, (columns, rows) in tables.items():
+        reporting.write_csv(out / name, columns, rows, meta={"seed": seed, "config": config_echo})
+    for name, payload in documents.items():
+        reporting.write_json(out / name, payload, config=config_echo)
+    wall = time.perf_counter() - started
+    reporting.write_manifest(out / "run_manifest.json", command, config_echo, seed, wall)
+    return wall
+
+
 # --------------------------------------------------------------------------
 # subcommands
 # --------------------------------------------------------------------------
@@ -127,19 +151,17 @@ def _cmd_convergence(args: argparse.Namespace) -> int:
     report = simulation.run_convergence_study(
         sample_sizes=sizes, n_quantiles=quantile_counts, repeats=repeats, seed=seed
     )
-    wall = time.perf_counter() - started
 
     out = _out_dir(effective)
     config_echo = {**effective, "sizes": sizes, "n_quantiles": quantile_counts}
     rows = [
         (r.estimator, r.sample_size, r.n_quantiles, r.mean, r.std) for r in report.rows
     ]
-    reporting.write_csv(
-        out / "convergence.csv", simulation.CSV_COLUMNS_CONVERGENCE, rows,
-        meta={"seed": seed, "config": config_echo},
+    wall = _emit(
+        out, "convergence", config_echo, seed, started,
+        {"convergence.csv": (simulation.CSV_COLUMNS_CONVERGENCE, rows)},
+        {"convergence.json": report.to_dict()},
     )
-    reporting.write_json(out / "convergence.json", report.to_dict(), config=config_echo)
-    reporting.write_manifest(out / "run_manifest.json", "convergence", config_echo, seed, wall)
 
     print(f"convergence: {len(report.rows)} rows -> {out} ({wall:.1f}s)")
     analytic = 0.23369497725510105
@@ -173,16 +195,14 @@ def _cmd_sensitivity(args: argparse.Namespace) -> int:
     )
     started = time.perf_counter()
     report = simulation.run_sensitivity_grid(config)
-    wall = time.perf_counter() - started
 
     out = _out_dir(effective)
     config_echo = config.to_dict() | {"out": str(effective["out"])}
-    reporting.write_csv(
-        out / "sensitivity.csv", simulation.CSV_COLUMNS_SENSITIVITY, report.rows(),
-        meta={"seed": seed, "config": config_echo},
+    wall = _emit(
+        out, "sensitivity", config_echo, seed, started,
+        {"sensitivity.csv": (simulation.CSV_COLUMNS_SENSITIVITY, report.rows())},
+        {"sensitivity.json": report.to_dict()},
     )
-    reporting.write_json(out / "sensitivity.json", report.to_dict(), config=config_echo)
-    reporting.write_manifest(out / "run_manifest.json", "sensitivity", config_echo, seed, wall)
 
     print(
         f"sensitivity: {len(report.cells)} cells "
@@ -248,23 +268,6 @@ def _cmd_exchange_eval(args: argparse.Namespace) -> int:
     out = _out_dir(effective)
     config_echo = {**effective, "kind": kind, "seed": seed, "series_rows": series.length}
     labeled = [(f"split_{r.split_index}", rep) for r, rep in zip(splits, per_split)]
-    labeled.append(("pooled", pooled))
-    reporting.write_csv(
-        out / "scores.csv", ("split", *ScoreReport.CSV_COLUMNS), _score_rows(labeled),
-        meta={"seed": seed, "config": config_echo},
-    )
-    reporting.write_csv(
-        out / "pooled_score.csv", ScoreReport.CSV_COLUMNS, [pooled.csv_row()],
-        meta={"seed": seed, "config": config_echo},
-    )
-    reporting.write_json(
-        out / "scores.json",
-        {
-            "splits": {label: rep.to_dict() for label, rep in labeled[:-1]},
-            "pooled": pooled.to_dict(),
-        },
-        config=config_echo,
-    )
     if effective["dump_samples"]:
         for split in splits:
             rng = forecasters._split_rng(seed, split.split_index)
@@ -272,8 +275,16 @@ def _cmd_exchange_eval(args: argparse.Namespace) -> int:
                 split.input_window, split.target_window.shape[0], cfg, rng
             )
             forecasters.ensemble_to_csv(ens, out / f"samples_split_{split.split_index}.csv")
-    wall = time.perf_counter() - started
-    reporting.write_manifest(out / "run_manifest.json", "exchange-eval", config_echo, seed, wall)
+    wall = _emit(
+        out, "exchange-eval", config_echo, seed, started,
+        {
+            "scores.csv": (("split", *ScoreReport.CSV_COLUMNS),
+                           _score_rows(labeled + [("pooled", pooled)])),
+            "pooled_score.csv": (ScoreReport.CSV_COLUMNS, [pooled.csv_row()]),
+        },
+        {"scores.json": {"splits": {label: rep.to_dict() for label, rep in labeled},
+                         "pooled": pooled.to_dict()}},
+    )
 
     print(f"exchange-eval[{kind}]: {len(splits)} splits -> {out} ({wall:.1f}s)")
     print(
@@ -301,23 +312,19 @@ def _cmd_sigma_sweep(args: argparse.Namespace) -> int:
         kind, sigmas, splits, n_samples=int(effective["samples"]), seed=seed,
         estimator=estimator, n_quantiles=n_quantiles, normalization=normalize,
     )
-    wall = time.perf_counter() - started
 
     out = _out_dir(effective)
     config_echo = {**effective, "kind": kind, "seed": seed, "sigmas": sigmas,
                    "series_rows": series.length}
-    reporting.write_csv(
-        out / "sigma_sweep.csv", forecasters.CSV_COLUMNS_SIGMA_SWEEP,
-        [(r.sigma, r.crps_sum, r.crps, r.es) for r in rows],
-        meta={"seed": seed, "config": config_echo},
+    wall = _emit(
+        out, "sigma-sweep", config_echo, seed, started,
+        {"sigma_sweep.csv": (forecasters.CSV_COLUMNS_SIGMA_SWEEP,
+                             [(r.sigma, r.crps_sum, r.crps, r.es) for r in rows])},
+        {"sigma_sweep.json": {"rows": [
+            {"sigma": r.sigma, "crps_sum": r.crps_sum, "crps": r.crps, "es": r.es}
+            for r in rows
+        ]}},
     )
-    reporting.write_json(
-        out / "sigma_sweep.json",
-        {"rows": [{"sigma": r.sigma, "crps_sum": r.crps_sum, "crps": r.crps, "es": r.es}
-                  for r in rows]},
-        config=config_echo,
-    )
-    reporting.write_manifest(out / "run_manifest.json", "sigma-sweep", config_echo, seed, wall)
 
     print(f"sigma-sweep[{kind}]: {len(rows)} noise scales -> {out} ({wall:.1f}s)")
     return 0
@@ -393,16 +400,13 @@ def _cmd_score(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    wall = time.perf_counter() - started
 
     out = _out_dir(effective)
-    config_echo = dict(effective)
-    reporting.write_csv(
-        out / "score.csv", ScoreReport.CSV_COLUMNS, [report.csv_row()],
-        meta={"seed": seed, "config": config_echo},
+    _emit(
+        out, "score", dict(effective), seed, started,
+        {"score.csv": (ScoreReport.CSV_COLUMNS, [report.csv_row()])},
+        {"score.json": report.to_dict()},
     )
-    reporting.write_json(out / "score.json", report.to_dict(), config=config_echo)
-    reporting.write_manifest(out / "run_manifest.json", "score", config_echo, seed, wall)
 
     print(
         f"score ({report.normalization_mode}): crps_sum={report.crps_sum:.6f} "

@@ -8,7 +8,9 @@ against a scalar observation x is
 This module provides three sample-based estimators of that integral
 (empirical-CDF step integration, quantile/pinball approximation, and the
 expectation form E|X - x| - 0.5 E|X - X'|) plus the closed form for a
-Gaussian predictive distribution.
+Gaussian predictive distribution.  Each estimator is one batched kernel that
+scores along the last axis of any batch shape; the public functions are
+validated scalar wrappers around them.
 """
 from __future__ import annotations
 
@@ -24,6 +26,10 @@ __all__ = [
     "crps_sample_estimate",
     "crps_gaussian_analytic",
 ]
+
+# Sample-based estimators by the names used on the CLI; the order is also the
+# estimator index of the convergence study's random streams.
+ESTIMATORS = ("ecdf", "quantile", "sample")
 
 _SQRT_PI = math.sqrt(math.pi)
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
@@ -72,6 +78,76 @@ def pinball_loss(alpha: float, q: float, x: float) -> float:
     return (alpha - indicator) * (x - q)
 
 
+def _check_n_quantiles(n_quantiles: int) -> int:
+    n_quantiles = int(n_quantiles)
+    if n_quantiles < 1:
+        raise ValueError(f"n_quantiles must be positive, got {n_quantiles}")
+    return n_quantiles
+
+
+# --------------------------------------------------------------------------
+# Batched kernels: samples (..., S) and observations (...) -> scores (...).
+# Inputs are not validated.  Callers pass C-contiguous samples: then every
+# sort and sum runs along a contiguous last axis, in the order of a 1-D call,
+# so each batch entry scores bit-for-bit as it would alone.
+# --------------------------------------------------------------------------
+
+def _ecdf(samples: NDArray[np.float64], obs: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Exact empirical-CDF CRPS of every batch entry."""
+    n = samples.shape[-1]
+    x = np.expand_dims(obs, -1)
+    points = np.sort(np.concatenate([np.sort(samples, axis=-1), x], axis=-1), axis=-1)
+    gaps = np.diff(points, axis=-1, append=np.inf)
+    widths = gaps[..., :-1]
+    # Evaluate both step functions at interval midpoints: the integrand is
+    # constant on each open interval between consecutive points.
+    mids = 0.5 * (points[..., :-1] + points[..., 1:])
+    obs_step = (mids >= x).astype(np.float64)
+    # Points <= the midpoint of interval k: k + 1, unless the midpoint rounds
+    # up onto the interval's right end (adjacent floats), where they run to
+    # the last tie of that end.  Samples <= it: that count less obs_step.
+    k = np.arange(n + 1)
+    last_tie = np.minimum.accumulate(np.where(gaps != 0.0, k, n)[..., ::-1], axis=-1)[..., ::-1]
+    points_le = np.where(mids < points[..., 1:], k[:-1] + 1, last_tie[..., 1:] + 1)
+    cdf = (points_le - obs_step) / n
+    return np.sum((cdf - obs_step) ** 2 * widths, axis=-1)
+
+
+def _quantile(
+    samples: NDArray[np.float64], obs: NDArray[np.float64], n_quantiles: int
+) -> NDArray[np.float64]:
+    """Quantile (pinball) CRPS of every batch entry at ``n_quantiles`` levels."""
+    alphas = (np.arange(1, n_quantiles + 1) - 0.5) / n_quantiles
+    q = np.quantile(samples, alphas, axis=-1, method="linear")  # (N, ...)
+    q = np.ascontiguousarray(np.moveaxis(q, 0, -1))
+    x = np.expand_dims(obs, -1)
+    losses = (alphas - (x < q)) * (x - q)
+    return 2.0 * losses.mean(axis=-1)
+
+
+def _sample(
+    samples: NDArray[np.float64], obs: NDArray[np.float64], unbiased: bool = False
+) -> NDArray[np.float64]:
+    """Expectation-form CRPS of every batch entry; NaN stays NaN."""
+    s = np.sort(samples, axis=-1)
+    n = s.shape[-1]
+    term_obs = np.abs(s - np.expand_dims(obs, -1)).mean(axis=-1)
+    ranks = np.arange(1, n + 1, dtype=np.float64)
+    pair_sum = 2.0 * np.sum((2.0 * ranks - n - 1.0) * s, axis=-1)
+    denom = n * (n - 1) if unbiased else n * n
+    # Mathematically >= 0 (triangle inequality); guard against rounding.
+    return np.maximum(0.0, term_obs - pair_sum / (2.0 * denom))
+
+
+def _crps_batch(
+    samples: NDArray[np.float64], obs: NDArray[np.float64], estimator: str, n_quantiles: int
+) -> NDArray[np.float64]:
+    """CRPS of every batch entry with the estimator named in ``ESTIMATORS``."""
+    if estimator == "quantile":
+        return _quantile(samples, obs, n_quantiles)
+    return _ecdf(samples, obs) if estimator == "ecdf" else _sample(samples, obs)
+
+
 def crps_empirical_cdf(samples: ArrayLike, x: float) -> float:
     """CRPS via exact integration of the empirical-CDF step function.
 
@@ -88,17 +164,7 @@ def crps_empirical_cdf(samples: ArrayLike, x: float) -> float:
     Returns:
         Exact CRPS of the empirical distribution of the samples.
     """
-    s = np.sort(_as_sample_vector(samples))
-    x = _check_observation(x)
-
-    points = np.sort(np.append(s, x))
-    widths = np.diff(points)
-    # Evaluate both step functions at interval midpoints: the integrand is
-    # constant on each open interval, so midpoints avoid all tie handling.
-    mids = 0.5 * (points[:-1] + points[1:])
-    cdf = np.searchsorted(s, mids, side="right") / s.size
-    obs_step = (mids >= x).astype(np.float64)
-    return float(np.sum((cdf - obs_step) ** 2 * widths))
+    return float(_ecdf(_as_sample_vector(samples), _check_observation(x)))
 
 
 def crps_quantile(samples: ArrayLike, x: float, n_quantiles: int = 20) -> float:
@@ -117,16 +183,9 @@ def crps_quantile(samples: ArrayLike, x: float, n_quantiles: int = 20) -> float:
     Returns:
         Quantile-based CRPS estimate (non-negative).
     """
-    s = _as_sample_vector(samples)
-    x = _check_observation(x)
-    n_quantiles = int(n_quantiles)
-    if n_quantiles < 1:
-        raise ValueError(f"n_quantiles must be positive, got {n_quantiles}")
-
-    alphas = (np.arange(1, n_quantiles + 1) - 0.5) / n_quantiles
-    q = np.quantile(s, alphas, method="linear")
-    losses = (alphas - (x < q)) * (x - q)
-    return float(2.0 * losses.mean())
+    return float(_quantile(
+        _as_sample_vector(samples), _check_observation(x), _check_n_quantiles(n_quantiles)
+    ))
 
 
 def crps_sample_estimate(samples: ArrayLike, x: float, unbiased: bool = False) -> float:
@@ -148,17 +207,7 @@ def crps_sample_estimate(samples: ArrayLike, x: float, unbiased: bool = False) -
     Returns:
         CRPS estimate (non-negative for either normalization).
     """
-    s = np.sort(_as_sample_vector(samples))
-    x = _check_observation(x)
-    n = s.size
-
-    term_obs = np.abs(s - x).mean()
-    ranks = np.arange(1, n + 1, dtype=np.float64)
-    pair_sum = 2.0 * np.sum((2.0 * ranks - n - 1.0) * s)
-    denom = n * (n - 1) if unbiased else n * n
-    value = term_obs - pair_sum / (2.0 * denom)
-    # Mathematically >= 0 (triangle inequality); guard against rounding.
-    return max(0.0, float(value))
+    return float(_sample(_as_sample_vector(samples), _check_observation(x), unbiased))
 
 
 def crps_gaussian_analytic(mu: float, sigma: float, x: float) -> float:

@@ -13,7 +13,7 @@ Both are scored over rolling splits; scores can be pooled across splits.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence, Union
 
@@ -23,8 +23,8 @@ from numpy.typing import NDArray
 from .data import EvaluationSplit
 from .multivariate import (
     ScoreReport,
-    _aggregate_scores,
     _check_estimator,
+    _report,
     crps_matrix,
     crps_sum_series,
     energy_series,
@@ -85,46 +85,35 @@ def _check_input_window(input_window) -> NDArray[np.float64]:
     return arr
 
 
-def dummy_univariate_forecast(
+def make_dummy_forecast(
     input_window,
     horizon: int,
     cfg: DummyConfig,
     rng: RngLike = None,
 ) -> NDArray[np.float64]:
-    """Ensemble of shape (S, H, D), every entry drawn from N(mu_last, sigma^2).
+    """Ensemble of shape (S, H, D) drawn from N(loc, sigma^2) for ``cfg.kind``.
 
-    mu_last is the mean across dimensions of the final input row; the same
-    scalar law is used for every dimension and horizon step.
+    Multivariate: loc is the final input row, so dimension i follows
+    N(last_row[i], sigma^2).  Univariate: loc is that row's mean across
+    dimensions, one scalar law for every dimension and horizon step.
     """
     arr = _check_input_window(input_window)
     horizon = int(horizon)
     if horizon < 1:
         raise ValueError(f"horizon must be positive, got {horizon}")
     rng = _as_generator(rng if rng is not None else cfg.seed)
-    mu_last = float(arr[-1].mean())
-    return rng.normal(mu_last, cfg.sigma, size=(cfg.n_samples, horizon, arr.shape[1]))
+    loc = float(arr[-1].mean()) if cfg.kind == "univariate" else arr[-1]
+    return rng.normal(loc, cfg.sigma, size=(cfg.n_samples, horizon, arr.shape[1]))
 
 
-def dummy_multivariate_forecast(
-    input_window,
-    horizon: int,
-    cfg: DummyConfig,
-    rng: RngLike = None,
-) -> NDArray[np.float64]:
-    """Ensemble of shape (S, H, D): dimension i follows N(last_row[i], sigma^2)."""
-    arr = _check_input_window(input_window)
-    horizon = int(horizon)
-    if horizon < 1:
-        raise ValueError(f"horizon must be positive, got {horizon}")
-    rng = _as_generator(rng if rng is not None else cfg.seed)
-    last = arr[-1]  # (D,)
-    return rng.normal(last, cfg.sigma, size=(cfg.n_samples, horizon, arr.shape[1]))
+def dummy_univariate_forecast(input_window, horizon: int, cfg: DummyConfig, rng: RngLike = None):
+    """``make_dummy_forecast`` with the univariate law, whatever ``cfg.kind``."""
+    return make_dummy_forecast(input_window, horizon, replace(cfg, kind="univariate"), rng)
 
 
-def make_dummy_forecast(input_window, horizon: int, cfg: DummyConfig, rng: RngLike = None):
-    if cfg.kind == "univariate":
-        return dummy_univariate_forecast(input_window, horizon, cfg, rng)
-    return dummy_multivariate_forecast(input_window, horizon, cfg, rng)
+def dummy_multivariate_forecast(input_window, horizon: int, cfg: DummyConfig, rng: RngLike = None):
+    """``make_dummy_forecast`` with the multivariate law, whatever ``cfg.kind``."""
+    return make_dummy_forecast(input_window, horizon, replace(cfg, kind="multivariate"), rng)
 
 
 def ensemble_to_csv(ensemble: NDArray[np.float64], path: Union[str, Path]) -> None:
@@ -167,55 +156,25 @@ def evaluate_dummy_on_splits(
     """
     if not splits:
         raise ValueError("no evaluation splits given")
-    _check_estimator(estimator)
+    _check_estimator(estimator, n_quantiles)
 
-    per_split: list[ScoreReport] = []
-    mats, cs_series_all, es_series_all, windows = [], [], [], []
+    scored = []  # (mat, cs, es, window) per split
     for split in splits:
         rng = _split_rng(cfg.seed, split.split_index)
         ensemble = make_dummy_forecast(split.input_window, split.target_window.shape[0], cfg, rng)
         window = split.target_window
-        mat = crps_matrix(ensemble, window, estimator, n_quantiles)
-        cs = crps_sum_series(ensemble, window, estimator, n_quantiles)
-        es = energy_series(ensemble, window, beta=beta)
-        mats.append(mat)
-        cs_series_all.append(cs)
-        es_series_all.append(es)
-        windows.append(window)
+        scored.append((
+            crps_matrix(ensemble, window, estimator, n_quantiles),
+            crps_sum_series(ensemble, window, estimator, n_quantiles),
+            energy_series(ensemble, window, beta=beta),
+            window,
+        ))
 
-        per_dim, aggregate, cs_value, es_value = _aggregate_scores(
-            mat, cs, es, window, normalization
-        )
-        per_split.append(
-            ScoreReport(
-                crps_per_dim=per_dim,
-                crps_aggregate=aggregate,
-                crps_sum=cs_value,
-                energy_score=es_value,
-                normalization_mode="target-normalized" if normalization == "target" else "raw",
-                estimator=estimator,
-                n_quantiles=n_quantiles,
-                seed=cfg.seed,
-            )
-        )
+    def report(mat, cs, es, window) -> ScoreReport:
+        return _report(mat, cs, es, window, normalization, estimator, n_quantiles, cfg.seed)
 
-    per_dim, aggregate, cs_value, es_value = _aggregate_scores(
-        np.concatenate(mats, axis=0),
-        np.concatenate(cs_series_all),
-        np.concatenate(es_series_all),
-        np.concatenate(windows, axis=0),
-        normalization,
-    )
-    pooled = ScoreReport(
-        crps_per_dim=per_dim,
-        crps_aggregate=aggregate,
-        crps_sum=cs_value,
-        energy_score=es_value,
-        normalization_mode="target-normalized" if normalization == "target" else "raw",
-        estimator=estimator,
-        n_quantiles=n_quantiles,
-        seed=cfg.seed,
-    )
+    per_split = [report(*parts) for parts in scored]
+    pooled = report(*(np.concatenate(parts, axis=0) for parts in zip(*scored)))
     return per_split, pooled
 
 

@@ -6,12 +6,12 @@ horizon of H steps for D dimensions.  Observations are (H, D) windows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
-from .crps import crps_empirical_cdf, crps_quantile, crps_sample_estimate
+from .crps import ESTIMATORS, _check_n_quantiles, _crps_batch
 
 __all__ = [
     "ESTIMATORS",
@@ -26,18 +26,12 @@ __all__ = [
     "score_report",
 ]
 
-# Univariate estimator registry keyed by the names used on the CLI.
-ESTIMATORS: dict[str, Callable[..., float]] = {
-    "ecdf": lambda s, x, n_quantiles: crps_empirical_cdf(s, x),
-    "quantile": lambda s, x, n_quantiles: crps_quantile(s, x, n_quantiles),
-    "sample": lambda s, x, n_quantiles: crps_sample_estimate(s, x),
-}
-
 NORMALIZATION_MODES = ("raw", "target")
 
 
 def _as_ensemble(ensemble: ArrayLike) -> NDArray[np.float64]:
-    arr = np.asarray(ensemble, dtype=np.float64)
+    # C order makes every sum and transpose below independent of the caller's layout.
+    arr = np.ascontiguousarray(ensemble, dtype=np.float64)
     if arr.ndim != 3:
         raise ValueError(
             f"ensemble must have shape (S, H, D), got {arr.shape}"
@@ -50,7 +44,7 @@ def _as_ensemble(ensemble: ArrayLike) -> NDArray[np.float64]:
 
 
 def _as_observation_window(obs: ArrayLike, ensemble: NDArray[np.float64]) -> NDArray[np.float64]:
-    arr = np.asarray(obs, dtype=np.float64)
+    arr = np.ascontiguousarray(obs, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"observations must have shape (H, D), got {arr.shape}")
     if arr.shape != ensemble.shape[1:]:
@@ -70,12 +64,14 @@ def _check_beta(beta: float) -> float:
     return beta
 
 
-def _check_estimator(estimator: str) -> str:
+def _check_estimator(estimator: str, n_quantiles: int) -> None:
+    """Reject an unknown estimator, and a quantile count below 1 for "quantile"."""
     if estimator not in ESTIMATORS:
         raise ValueError(
             f"unknown estimator {estimator!r}; choose from {sorted(ESTIMATORS)}"
         )
-    return estimator
+    if estimator == "quantile":
+        _check_n_quantiles(n_quantiles)
 
 
 _TILE = 1 << 16  # doubles per temporary of the ES pair term: 512 KB, a core's share of L2
@@ -151,21 +147,10 @@ def energy_series(ensemble: ArrayLike, obs: ArrayLike, beta: float = 1.0) -> NDA
     return _energy_batch(np.ascontiguousarray(ens.transpose(1, 0, 2)), window, _check_beta(beta))
 
 
-def energy_score_window(
-    ensemble: ArrayLike, obs: ArrayLike, beta: float = 1.0, flatten: bool = False
-) -> float:
-    """Energy score of a multi-step ensemble.
-
-    By default the per-step scores are averaged over the horizon.  With
-    ``flatten=True`` each sample path is treated as one (H*D)-dimensional
-    vector and a single score is computed.
-    """
-    ens = _as_ensemble(ensemble)
-    window = _as_observation_window(obs, ens)
-    if flatten:
-        flat = ens.reshape(ens.shape[0], -1)
-        return energy_score(flat, window.reshape(-1), beta=beta)
-    return float(energy_series(ens, window, beta=beta).mean())
+def energy_score_window(ensemble: ArrayLike, obs: ArrayLike, beta: float = 1.0) -> float:
+    """Energy score of a multi-step ensemble: the per-step scores averaged over
+    the horizon."""
+    return float(energy_series(ensemble, obs, beta=beta).mean())
 
 
 def crps_matrix(
@@ -177,13 +162,9 @@ def crps_matrix(
     """Pointwise CRPS for every (step, dimension) cell: returns (H, D)."""
     ens = _as_ensemble(ensemble)
     window = _as_observation_window(obs, ens)
-    score = ESTIMATORS[_check_estimator(estimator)]
-    H, D = window.shape
-    out = np.empty((H, D))
-    for t in range(H):
-        for d in range(D):
-            out[t, d] = score(ens[:, t, d], window[t, d], n_quantiles)
-    return out
+    _check_estimator(estimator, n_quantiles)
+    by_cell = np.ascontiguousarray(ens.transpose(1, 2, 0))  # (H, D, S)
+    return _crps_batch(by_cell, window, estimator, n_quantiles)
 
 
 def crps_sum_series(
@@ -200,15 +181,9 @@ def crps_sum_series(
     """
     ens = _as_ensemble(ensemble)
     window = _as_observation_window(obs, ens)
-    score = ESTIMATORS[_check_estimator(estimator)]
-    summed_samples = ens.sum(axis=2)  # (S, H)
-    summed_obs = window.sum(axis=1)  # (H,)
-    return np.array(
-        [
-            score(summed_samples[:, t], summed_obs[t], n_quantiles)
-            for t in range(window.shape[0])
-        ]
-    )
+    _check_estimator(estimator, n_quantiles)
+    summed_samples = np.ascontiguousarray(ens.sum(axis=2).T)  # (H, S)
+    return _crps_batch(summed_samples, window.sum(axis=1), estimator, n_quantiles)
 
 
 def crps_sum(
@@ -277,37 +252,48 @@ class ScoreReport:
         }
 
 
-def _aggregate_scores(
+def _report(
     mat: NDArray[np.float64],
     cs_series: NDArray[np.float64],
     es_series: NDArray[np.float64],
     window: NDArray[np.float64],
     normalization: str,
-) -> tuple[NDArray[np.float64], float, float, float]:
-    """Aggregate pointwise scores into report values, raw or target-normalized.
+    estimator: str,
+    n_quantiles: int,
+    seed: Optional[int],
+) -> ScoreReport:
+    """Aggregate pointwise scores into a report, raw or target-normalized.
 
     Target normalization divides accumulated scores by the accumulated
     absolute magnitude of the corresponding targets: pointwise CRPS and the
     energy score by sum |obs|, summed-series CRPS by sum |sum_d obs|.
     """
     if normalization == "raw":
-        return mat.mean(axis=0), float(mat.mean()), float(cs_series.mean()), float(es_series.mean())
-    if normalization != "target":
+        per_dim = mat.mean(axis=0)
+        aggregate, cs_value, es_value = mat.mean(), cs_series.mean(), es_series.mean()
+    elif normalization == "target":
+        abs_obs = np.abs(window)
+        denom_point = abs_obs.sum()
+        denom_sum = np.abs(window.sum(axis=1)).sum()
+        if denom_point <= 0.0 or denom_sum <= 0.0:
+            raise ValueError("target normalization undefined: observations sum to zero magnitude")
+        per_dim = mat.sum(axis=0) / abs_obs.sum(axis=0)
+        aggregate = mat.sum() / denom_point
+        cs_value = cs_series.sum() / denom_sum
+        es_value = es_series.sum() / denom_point
+    else:
         raise ValueError(
             f"unknown normalization {normalization!r}; choose from {NORMALIZATION_MODES}"
         )
-
-    abs_obs = np.abs(window)
-    denom_point = abs_obs.sum()
-    denom_sum = np.abs(window.sum(axis=1)).sum()
-    if denom_point <= 0.0 or denom_sum <= 0.0:
-        raise ValueError("target normalization undefined: observations sum to zero magnitude")
-    per_dim = mat.sum(axis=0) / abs_obs.sum(axis=0)
-    return (
-        per_dim,
-        float(mat.sum() / denom_point),
-        float(cs_series.sum() / denom_sum),
-        float(es_series.sum() / denom_point),
+    return ScoreReport(
+        crps_per_dim=per_dim,
+        crps_aggregate=float(aggregate),
+        crps_sum=float(cs_value),
+        energy_score=float(es_value),
+        normalization_mode="target-normalized" if normalization == "target" else "raw",
+        estimator=estimator,
+        n_quantiles=n_quantiles,
+        seed=seed,
     )
 
 
@@ -319,7 +305,6 @@ def score_report(
     beta: float = 1.0,
     normalization: str = "raw",
     seed: Optional[int] = None,
-    es_flatten: bool = False,
 ) -> ScoreReport:
     """Score an ensemble against observations and bundle all metrics.
 
@@ -333,34 +318,12 @@ def score_report(
             absolute target sums).
         seed: optional seed recorded for provenance (the seed that generated
             the ensemble); not used for any computation here.
-        es_flatten: score the energy distance on flattened (H*D)-vectors
-            instead of averaging per-step scores.
     """
     ens = _as_ensemble(ensemble)
     window = _as_observation_window(obs, ens)
-    _check_estimator(estimator)
-
-    mat = crps_matrix(ens, window, estimator, n_quantiles)
-    cs = crps_sum_series(ens, window, estimator, n_quantiles)
-    if es_flatten:
-        es_vals = np.array([energy_score_window(ens, window, beta=beta, flatten=True)])
-    else:
-        es_vals = energy_series(ens, window, beta=beta)
-
-    # With the flat variant there is a single window-level ES value; both
-    # normalization modes treat it as a one-element series.
-    per_dim, aggregate, cs_value, es_value = _aggregate_scores(
-        mat, cs, es_vals, window, normalization
-    )
-
-    mode = "target-normalized" if normalization == "target" else "raw"
-    return ScoreReport(
-        crps_per_dim=per_dim,
-        crps_aggregate=aggregate,
-        crps_sum=cs_value,
-        energy_score=es_value,
-        normalization_mode=mode,
-        estimator=estimator,
-        n_quantiles=n_quantiles,
-        seed=seed,
+    return _report(
+        crps_matrix(ens, window, estimator, n_quantiles),
+        crps_sum_series(ens, window, estimator, n_quantiles),
+        energy_series(ens, window, beta=beta),
+        window, normalization, estimator, n_quantiles, seed,
     )

@@ -16,8 +16,9 @@ from typing import Optional, Sequence, Union
 import numpy as np
 from numpy.typing import NDArray
 
-from .crps import crps_empirical_cdf, crps_quantile, crps_sample_estimate
-from .multivariate import _energy_batch
+from .crps import ESTIMATORS, _check_n_quantiles, _crps_batch
+from .crps import _quantile as _crps_quantile_batch  # the name the traced bench reports
+from .multivariate import _check_beta, _energy_batch
 
 __all__ = [
     "GaussianSpec",
@@ -135,22 +136,6 @@ def relative_change(score_mean: float, reference_mean: float) -> float:
 
 
 # --------------------------------------------------------------------------
-# Vectorized batch scoring helpers (validated against the scalar estimators
-# in the test suite; used only to keep the grid study fast)
-# --------------------------------------------------------------------------
-
-def _crps_quantile_batch(
-    samples: NDArray[np.float64], obs: NDArray[np.float64], n_quantiles: int
-) -> NDArray[np.float64]:
-    """Quantile-based CRPS for a batch: samples (n, w), obs (n,) -> (n,)."""
-    alphas = (np.arange(1, n_quantiles + 1) - 0.5) / n_quantiles
-    q = np.quantile(samples, alphas, axis=1, method="linear")  # (N, n)
-    x = obs[None, :]
-    losses = (alphas[:, None] - (x < q)) * (x - q)
-    return 2.0 * losses.mean(axis=0)
-
-
-# --------------------------------------------------------------------------
 # Sensitivity study
 # --------------------------------------------------------------------------
 
@@ -191,6 +176,8 @@ def run_sensitivity_cell(
         raise ValueError(f"need at least 2 windows, got {n_windows}")
     if window_size < 2:
         raise ValueError(f"ensemble size must be at least 2, got {window_size}")
+    n_quantiles = _check_n_quantiles(n_quantiles)
+    beta = _check_beta(beta)
 
     rng = _as_generator(seed)
     data_factor = bivariate_correlation_spec(rho).factor()
@@ -252,6 +239,8 @@ class SensitivityConfig:
         if int(self.seed) < 0:
             raise ValueError("seed must be non-negative")
         self.seed = int(self.seed)
+        self.n_quantiles = _check_n_quantiles(self.n_quantiles)
+        self.beta = _check_beta(self.beta)
 
     def to_dict(self) -> dict:
         return {
@@ -400,7 +389,6 @@ def run_sensitivity_grid(config: SensitivityConfig) -> SensitivityGridReport:
 # Estimator convergence study
 # --------------------------------------------------------------------------
 
-CONVERGENCE_ESTIMATORS = ("ecdf", "quantile", "sample")
 DEFAULT_SAMPLE_SIZES = (200, 500, 1000, 2000, 5000)
 
 
@@ -450,7 +438,7 @@ class ConvergenceReport:
 
 
 def run_convergence_study(
-    estimators: Sequence[str] = CONVERGENCE_ESTIMATORS,
+    estimators: Sequence[str] = ESTIMATORS,
     sample_sizes: Sequence[int] = DEFAULT_SAMPLE_SIZES,
     n_quantiles: Sequence[int] = (20,),
     repeats: int = 50,
@@ -472,16 +460,12 @@ def run_convergence_study(
     if seed < 0:
         raise ValueError("seed must be non-negative")
     for est in estimators:
-        if est not in CONVERGENCE_ESTIMATORS:
-            raise ValueError(
-                f"unknown estimator {est!r}; choose from {CONVERGENCE_ESTIMATORS}"
-            )
+        if est not in ESTIMATORS:
+            raise ValueError(f"unknown estimator {est!r}; choose from {ESTIMATORS}")
     sizes = [int(s) for s in sample_sizes]
     if any(s < 2 for s in sizes):
         raise ValueError("sample sizes must be at least 2")
-    quantile_counts = [int(n) for n in n_quantiles]
-    if any(n < 1 for n in quantile_counts):
-        raise ValueError("quantile counts must be positive")
+    quantile_counts = [_check_n_quantiles(n) for n in n_quantiles]
 
     def draw(est_index: int, size: int, nq: int, repeat: int) -> NDArray[np.float64]:
         ss = np.random.SeedSequence(entropy=(seed, est_index, size, nq, repeat))
@@ -489,19 +473,12 @@ def run_convergence_study(
 
     rows: list[ConvergenceRow] = []
     for est in estimators:
-        est_index = CONVERGENCE_ESTIMATORS.index(est)
+        est_index = ESTIMATORS.index(est)
         nq_values: Sequence[Optional[int]] = quantile_counts if est == "quantile" else [None]
         for size in sizes:
             for nq in nq_values:
-                values = np.empty(repeats)
-                for r in range(repeats):
-                    s = draw(est_index, size, nq or 0, r)
-                    if est == "ecdf":
-                        values[r] = crps_empirical_cdf(s, 0.0)
-                    elif est == "sample":
-                        values[r] = crps_sample_estimate(s, 0.0)
-                    else:
-                        values[r] = crps_quantile(s, 0.0, nq)
+                draws = np.stack([draw(est_index, size, nq or 0, r) for r in range(repeats)])
+                values = _crps_batch(draws, np.zeros(repeats), est, nq)
                 rows.append(
                     ConvergenceRow(
                         estimator=est,

@@ -117,6 +117,15 @@ def test_sensitivity_rerun_is_byte_identical(tmp_path):
         assert (out / name).read_bytes() == payload
 
 
+def test_sensitivity_rejects_zero_quantile_count(tmp_path, capsys):
+    out = tmp_path / "sens"
+    argv = ["sensitivity", "--n-windows", "4", "--window-size", "4",
+            "--n-quantiles", "0", "--out", str(out)]
+    assert main(argv) == 2
+    assert "n_quantiles" in capsys.readouterr().err
+    assert not (out / "sensitivity.csv").exists()
+
+
 def test_sensitivity_scale_choice_rejected_cleanly(capsys):
     with pytest.raises(SystemExit):
         main(["sensitivity", "--scale", "galactic"])  # argparse choice error

@@ -3,6 +3,8 @@ import numpy as np
 import pytest
 
 from scorecast import (
+    crps_empirical_cdf,
+    crps_quantile,
     crps_sample_estimate,
     crps_matrix,
     crps_per_dimension,
@@ -13,6 +15,8 @@ from scorecast import (
     energy_series,
     score_report,
 )
+from scorecast.cli import build_parser
+from scorecast.crps import _crps_batch
 from scorecast.multivariate import ESTIMATORS, ScoreReport, _energy_batch
 
 
@@ -164,20 +168,21 @@ def test_energy_window_mean_vs_flatten(window_case):
     ens, obs = window_case
     mean_mode = energy_score_window(ens, obs)
     assert mean_mode == pytest.approx(float(energy_series(ens, obs).mean()), rel=1e-13)
-    flat_mode = energy_score_window(ens, obs, flatten=True)
-    want = energy_score(ens.reshape(64, -1), obs.reshape(-1))
-    assert flat_mode == pytest.approx(want, rel=1e-13)
-    assert flat_mode != pytest.approx(mean_mode, rel=1e-3)  # genuinely different stats
 
 
 def test_crps_matrix_matches_univariate_calls(window_case):
     ens, obs = window_case
-    mat = crps_matrix(ens, obs, estimator="sample")
-    assert mat.shape == (5, 3)
-    assert mat[2, 1] == pytest.approx(
-        crps_sample_estimate(ens[:, 2, 1], obs[2, 1]), rel=1e-13
-    )
-    assert np.all(mat >= 0.0)
+    public = {
+        "ecdf": lambda s, x: crps_empirical_cdf(s, x),
+        "quantile": lambda s, x: crps_quantile(s, x, 20),
+        "sample": lambda s, x: crps_sample_estimate(s, x),
+    }
+    for name in ESTIMATORS:
+        mat = crps_matrix(ens, obs, estimator=name)
+        assert mat.shape == (5, 3)
+        want = [[public[name](ens[:, t, d], obs[t, d]) for d in range(3)] for t in range(5)]
+        assert np.array_equal(mat, want)
+        assert np.all(mat >= 0.0)
 
 
 def test_crps_per_dimension_aggregation(window_case):
@@ -192,6 +197,34 @@ def test_unknown_estimator_rejected(window_case):
     ens, obs = window_case
     with pytest.raises(ValueError, match="estimator"):
         crps_matrix(ens, obs, estimator="parametric")
+
+
+def test_quantile_count_checked_only_for_quantile_estimator(window_case):
+    ens, obs = window_case
+    for fn in (crps_matrix, crps_sum_series, crps_sum, crps_per_dimension, score_report):
+        with pytest.raises(ValueError, match="n_quantiles"):
+            fn(ens, obs, "quantile", 0)
+        # the other estimators take no quantile count and ignore it
+        fn(ens, obs, "ecdf", 0)
+        fn(ens, obs, "sample", 0)
+
+
+@pytest.mark.parametrize("estimator", ["ecdf", "quantile", "sample"])
+def test_crps_scores_do_not_depend_on_memory_layout(rng, estimator):
+    """Fortran order and transposed views score bit-for-bit as a C copy."""
+    ens = rng.standard_normal((40, 6, 9)) + 1e3
+    obs = rng.standard_normal((6, 9)) + 1e3
+    views = [
+        (np.asfortranarray(ens), np.asfortranarray(obs)),
+        (np.ascontiguousarray(ens.transpose(2, 1, 0)).transpose(2, 1, 0),
+         np.ascontiguousarray(obs.T).T),
+    ]
+    want_mat = crps_matrix(ens, obs, estimator)
+    want_cs = crps_sum_series(ens, obs, estimator)
+    for e, o in views:
+        assert not e.flags.c_contiguous
+        assert np.array_equal(crps_matrix(e, o, estimator), want_mat)
+        assert np.array_equal(crps_sum_series(e, o, estimator), want_cs)
 
 
 # ---------------------------------------------------------------------------
@@ -302,13 +335,25 @@ def test_score_report_round_trips_metadata(window_case):
 
 
 def test_estimator_registry_consistent(rng):
-    """Every registered estimator is the matching public function."""
-    s = rng.standard_normal(50)
-    x = 0.2
-    assert set(ESTIMATORS) == {"ecdf", "quantile", "sample"}
-    assert ESTIMATORS["sample"](s, x, 20) == pytest.approx(
-        crps_sample_estimate(s, x), rel=1e-13
-    )
+    """The ESTIMATORS names drive the CLI choices, and the batched kernel of
+    each name is its public scalar estimator bit-for-bit."""
+    assert ESTIMATORS == ("ecdf", "quantile", "sample")
+    parser = build_parser()
+    subcommands = next(a for a in parser._actions if a.dest == "command").choices
+    for command in ("exchange-eval", "sigma-sweep", "score"):
+        option = next(a for a in subcommands[command]._actions if a.dest == "estimator")
+        assert tuple(option.choices) == ESTIMATORS
+
+    s = rng.standard_normal((4, 50))
+    x = rng.standard_normal(4)
+    public = {
+        "ecdf": lambda s, x: crps_empirical_cdf(s, x),
+        "quantile": lambda s, x: crps_quantile(s, x, 17),
+        "sample": lambda s, x: crps_sample_estimate(s, x),
+    }
+    for name in ESTIMATORS:
+        want = [public[name](s[i], x[i]) for i in range(4)]
+        assert np.array_equal(_crps_batch(s, x, name, 17), want)
 
 
 def test_ensemble_shape_validation(rng):

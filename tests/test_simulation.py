@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from scorecast.simulation import (
-    CONVERGENCE_ESTIMATORS,
     CSV_COLUMNS_SENSITIVITY,
     DEFAULT_RHO_GRID,
     DEFAULT_VARRHO_GRID,
+    ESTIMATORS,
     SCALES,
     GaussianSpec,
     SensitivityConfig,
@@ -100,7 +100,7 @@ def test_quantile_batch_matches_scalar_calls(rng):
     obs = rng.standard_normal(12)
     got = _crps_quantile_batch(samples, obs, 20)
     want = [crps_quantile(samples[i], float(obs[i]), 20) for i in range(12)]
-    np.testing.assert_allclose(got, want, rtol=1e-12)
+    assert np.array_equal(got, want)
 
 
 def test_energy_batch_matches_scalar_calls(rng):
@@ -252,6 +252,17 @@ def test_sensitivity_config_validation():
         SensitivityConfig(window_size=1)
 
 
+@pytest.mark.parametrize("option", [{"n_quantiles": 0}, {"n_quantiles": -3},
+                                    {"beta": 0.0}, {"beta": 2.0}, {"beta": 5.0}])
+def test_sensitivity_rejects_quantile_count_and_beta(option):
+    """A zero quantile count gave NaN cells and beta=5 a finite ES; both are
+    outside the scores' definitions and are rejected up front."""
+    with pytest.raises(ValueError, match="n_quantiles|beta"):
+        SensitivityConfig(n_windows=4, window_size=4, **option)
+    with pytest.raises(ValueError, match="n_quantiles|beta"):
+        run_sensitivity_cell(0.0, 0.0, 4, 4, seed=0, **option)
+
+
 def test_default_grids():
     assert len(DEFAULT_RHO_GRID) == 11
     assert len(DEFAULT_VARRHO_GRID) == 21
@@ -320,4 +331,4 @@ def test_convergence_validation():
         run_convergence_study(estimators=("parametric",), repeats=3)
     with pytest.raises(ValueError):
         run_convergence_study(sample_sizes=(1,), repeats=3)
-    assert set(CONVERGENCE_ESTIMATORS) == {"ecdf", "quantile", "sample"}
+    assert ESTIMATORS == ("ecdf", "quantile", "sample")

@@ -1,4 +1,6 @@
 """Energy score, CRPS-Sum, and the window-level score report."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -109,26 +111,28 @@ def _energy_three_ways(ens, obs, beta):
     )
 
 
-# S = 600 is wider than one tile, so those windows are scored in row blocks.
+# Windows of D <= 2 and at most 256 members take the direct-difference form;
+# every other window takes the Gram form, in row blocks when S > 256.  Largest
+# relative deviation of the Gram form over these cases: 7.5e-16.
 @pytest.mark.parametrize(
     "S, D, beta",
-    [(2, 1, 1.0), (21, 2, 1.0), (64, 3, 1.5), (600, 2, 1.0), (600, 7, 1.5),
-     (400, 8, 1.0), (600, 9, 1.5), (50, 16, 1.0)],
+    [(2, 1, 1.0), (21, 2, 1.0), (256, 2, 1.5), (257, 2, 1.0), (64, 3, 1.5),
+     (600, 2, 1.0), (600, 7, 1.5), (400, 8, 1.0), (600, 9, 1.5), (50, 16, 1.0)],
 )
 def test_energy_kernel_matches_direct_form(S, D, beta):
-    """Bit-for-bit below D = 8; from D = 8 the norm may sum in another order."""
+    """Bit-for-bit on the direct form; within 1e-13 relative on the Gram form."""
     gen = np.random.default_rng(S * 100 + D)
     ens = gen.standard_normal((S, 3, D))
     obs = gen.standard_normal((3, D))
     want = np.array([_energy_direct(ens[:, t], obs[t], beta) for t in range(3)])
     for got in _energy_three_ways(ens, obs, beta):
-        if D < 8:
+        if D <= 2 and S <= 256:
             assert np.array_equal(got, want)
         else:
-            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
 
-@pytest.mark.parametrize("D", [2, 8])
+@pytest.mark.parametrize("D", [2, 3, 8])
 def test_energy_point_mass_at_observation_is_exactly_zero(D):
     obs = np.linspace(-3.0, 5.0, 2 * D).reshape(2, D)
     ens = np.broadcast_to(obs, (600, 2, D)).copy()
@@ -136,13 +140,69 @@ def test_energy_point_mass_at_observation_is_exactly_zero(D):
         assert np.array_equal(got, [0.0, 0.0])
 
 
+@pytest.mark.parametrize("S", [50, 600])
+@pytest.mark.parametrize("D", [3, 8])
+def test_energy_constant_ensemble_has_zero_pair_term(S, D):
+    """A point mass away from the observation scores its distance to it: the
+    Gram form gives a pair term of exactly 0, as the direct form does."""
+    gen = np.random.default_rng(S + D)
+    centre = 1.5 + 0.1 * gen.standard_normal((2, D))
+    obs = gen.standard_normal((2, D)) - 2.0
+    ens = np.broadcast_to(centre, (S, 2, D)).copy()
+    want = np.array([_energy_direct(ens[:, t], obs[t]) for t in range(2)])
+    assert np.all(want > 1.0)
+    for got in _energy_three_ways(ens, obs, 1.0):
+        assert np.array_equal(got, want)
+
+
+def test_energy_gram_form_resolves_a_tiny_spread():
+    """(ES(sigma) - ES(c)) / sigma at sigma = 1e-12 around c ~ 1.5 matches the
+    direct form: the Gram form subtracts a member, whose differences to the
+    others are exact, and not the observation, which is ~1.5 away."""
+    gen = np.random.default_rng(12)
+    centre = 1.5 + 0.1 * gen.standard_normal(8)
+    z = gen.standard_normal((400, 8))
+    obs = np.zeros(8)
+    sigma = 1e-12
+    point = np.broadcast_to(centre, (400, 8)).copy()
+    spread = centre + sigma * z
+
+    def slope(es):
+        return (es(spread, obs) - es(point, obs)) / sigma
+
+    assert slope(energy_score) == pytest.approx(slope(_energy_direct), rel=0.01)
+
+
 def test_energy_overflow_is_nan_not_zero():
-    samples = np.array([[1e200, 0.0], [-1e200, 0.0]])
-    with np.errstate(over="ignore", invalid="ignore"):
-        es = energy_score(samples, [0.0, 0.0])
-        series = energy_series(samples[:, None, :], np.zeros((1, 2)))
-    assert np.isnan(es)
-    assert np.array_equal(series, [es], equal_nan=True)
+    """Direct form (D = 2, S = 2) and Gram form (D = 3; D = 2 with S = 300)."""
+    cases = [
+        np.array([[1e200, 0.0], [-1e200, 0.0]]),
+        np.array([[1e200, 0.0, 0.0], [-1e200, 0.0, 0.0]]),
+        np.repeat([[1e200, 0.0], [-1e200, 0.0]], 150, axis=0),
+    ]
+    for samples in cases:
+        D = samples.shape[1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            es = energy_score(samples, np.zeros(D))
+            series = energy_series(samples[:, None, :], np.zeros((1, D)))
+        assert np.isnan(es)
+        assert np.array_equal(series, [es], equal_nan=True)
+
+
+@pytest.mark.parametrize("shape", [(1, 3000, 2), (1, 3000, 3), (2000, 128, 2)])
+def test_energy_kernel_memory_is_bounded(shape):
+    """A 3000-member window is scored in row blocks of at most _TILE doubles,
+    never through its 72 MB (w, w) distance matrix, and a batch of many
+    windows in chunks, never through temporaries the size of the batch."""
+    samples = np.random.default_rng(shape[2]).standard_normal(shape)
+    obs = np.zeros((shape[0], shape[2]))
+    tracemalloc.start()
+    try:
+        _energy_batch(samples, obs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 # ---------------------------------------------------------------------------

@@ -112,11 +112,12 @@ def test_energy_batch_matches_scalar_calls(rng):
 
 
 def test_energy_batch_chunking_is_invisible(rng):
-    """A batch scores each window exactly as a batch of that window alone,
-    both with many windows per tile (w=15) and in row blocks (w=300)."""
-    for w in (15, 300):
-        samples = rng.standard_normal((10, w, 3))
-        obs = rng.standard_normal((10, 3))
+    """A batch scores each window exactly as a batch of that window alone:
+    many windows per tile (w=15, D=2), one Gram block per window (w=15, D=3)
+    and Gram row blocks (w=300)."""
+    for w, D in ((15, 2), (15, 3), (300, 2), (300, 3)):
+        samples = rng.standard_normal((10, w, D))
+        obs = rng.standard_normal((10, D))
         alone = [_energy_batch(samples[i : i + 1], obs[i : i + 1])[0] for i in range(10)]
         np.testing.assert_array_equal(_energy_batch(samples, obs), alone)
 

@@ -261,7 +261,7 @@ def _cmd_exchange_eval(args: argparse.Namespace) -> int:
         kind=kind, sigma=float(effective["sigma"]),
         n_samples=int(effective["samples"]), seed=seed,
     )
-    per_split, pooled = forecasters.evaluate_dummy_on_splits(
+    ensembles, per_split, pooled = forecasters.forecast_and_score_splits(
         splits, cfg, estimator=estimator, n_quantiles=n_quantiles, normalization=normalize
     )
 
@@ -269,11 +269,7 @@ def _cmd_exchange_eval(args: argparse.Namespace) -> int:
     config_echo = {**effective, "kind": kind, "seed": seed, "series_rows": series.length}
     labeled = [(f"split_{r.split_index}", rep) for r, rep in zip(splits, per_split)]
     if effective["dump_samples"]:
-        for split in splits:
-            rng = forecasters._split_rng(seed, split.split_index)
-            ens = forecasters.make_dummy_forecast(
-                split.input_window, split.target_window.shape[0], cfg, rng
-            )
+        for split, ens in zip(splits, ensembles):
             forecasters.ensemble_to_csv(ens, out / f"samples_split_{split.split_index}.csv")
     wall = _emit(
         out, "exchange-eval", config_echo, seed, started,

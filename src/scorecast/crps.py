@@ -85,6 +85,12 @@ def _check_n_quantiles(n_quantiles: int) -> int:
     return n_quantiles
 
 
+def _nonnegative(scores: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Clamp rounding below 0 of a score that is >= 0 by the triangle
+    inequality; an overflowed (non-finite) score becomes NaN, never 0."""
+    return np.where(np.isfinite(scores), np.maximum(0.0, scores), np.nan)
+
+
 # --------------------------------------------------------------------------
 # Batched kernels: samples (..., S) and observations (...) -> scores (...).
 # Inputs are not validated.  Callers pass C-contiguous samples: then every
@@ -135,8 +141,7 @@ def _sample(
     ranks = np.arange(1, n + 1, dtype=np.float64)
     pair_sum = 2.0 * np.sum((2.0 * ranks - n - 1.0) * s, axis=-1)
     denom = n * (n - 1) if unbiased else n * n
-    # Mathematically >= 0 (triangle inequality); guard against rounding.
-    return np.maximum(0.0, term_obs - pair_sum / (2.0 * denom))
+    return _nonnegative(term_obs - pair_sum / (2.0 * denom))
 
 
 def _crps_batch(

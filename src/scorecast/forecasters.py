@@ -37,6 +37,7 @@ __all__ = [
     "dummy_multivariate_forecast",
     "make_dummy_forecast",
     "ensemble_to_csv",
+    "forecast_and_score_splits",
     "evaluate_dummy_on_splits",
     "SigmaSweepRow",
     "sigma_sweep",
@@ -136,33 +137,37 @@ def _split_rng(master_seed: int, split_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=(master_seed, split_index)))
 
 
-def evaluate_dummy_on_splits(
+def forecast_and_score_splits(
     splits: Sequence[EvaluationSplit],
     cfg: DummyConfig,
     estimator: str = "quantile",
     n_quantiles: int = 20,
     beta: float = 1.0,
     normalization: str = "target",
-) -> tuple[list[ScoreReport], ScoreReport]:
+) -> tuple[list[NDArray[np.float64]], list[ScoreReport], ScoreReport]:
     """Forecast and score every split; also pool scores across splits.
 
+    Each split's ensemble is drawn once, from the split's own stream.
     Pooling concatenates the per-step score series of all splits (and their
     observation windows) and aggregates once, so the target-normalized pooled
     scores are total score mass divided by total target magnitude rather than
     a mean of per-split ratios.
 
     Returns:
-        (per_split_reports, pooled_report)
+        (ensembles, per_split_reports, pooled_report), where ensembles[k] is
+        the (S, H, D) forecast scored for splits[k].
     """
     if not splits:
         raise ValueError("no evaluation splits given")
     _check_estimator(estimator, n_quantiles)
 
+    ensembles = []
     scored = []  # (mat, cs, es, window) per split
     for split in splits:
         rng = _split_rng(cfg.seed, split.split_index)
         ensemble = make_dummy_forecast(split.input_window, split.target_window.shape[0], cfg, rng)
         window = split.target_window
+        ensembles.append(ensemble)
         scored.append((
             crps_matrix(ensemble, window, estimator, n_quantiles),
             crps_sum_series(ensemble, window, estimator, n_quantiles),
@@ -175,6 +180,22 @@ def evaluate_dummy_on_splits(
 
     per_split = [report(*parts) for parts in scored]
     pooled = report(*(np.concatenate(parts, axis=0) for parts in zip(*scored)))
+    return ensembles, per_split, pooled
+
+
+def evaluate_dummy_on_splits(
+    splits: Sequence[EvaluationSplit],
+    cfg: DummyConfig,
+    estimator: str = "quantile",
+    n_quantiles: int = 20,
+    beta: float = 1.0,
+    normalization: str = "target",
+) -> tuple[list[ScoreReport], ScoreReport]:
+    """``forecast_and_score_splits`` without the ensembles:
+    (per_split_reports, pooled_report)."""
+    _, per_split, pooled = forecast_and_score_splits(
+        splits, cfg, estimator, n_quantiles, beta, normalization
+    )
     return per_split, pooled
 
 

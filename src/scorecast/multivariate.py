@@ -11,7 +11,7 @@ from typing import Optional
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
-from .crps import ESTIMATORS, _check_n_quantiles, _crps_batch
+from .crps import ESTIMATORS, _check_n_quantiles, _crps_batch, _nonnegative
 
 __all__ = [
     "ESTIMATORS",
@@ -74,30 +74,9 @@ def _check_estimator(estimator: str, n_quantiles: int) -> None:
         _check_n_quantiles(n_quantiles)
 
 
-# Doubles per temporary of the ES pair term (512 KB, a core's share of L2).  The
-# direct form holds the (w, w) distances of ``_TILE // w**2`` windows at once and
-# so serves only windows of at most 256 members; the Gram form holds ``_TILE // w``
-# rows of one window's distances.
+# Doubles per row block of the ES pair term (512 KB, a core's share of L2): each
+# window's (w, w) distances are formed ``_TILE // w`` rows at a time.
 _TILE = 1 << 16
-
-
-def _pair_direct(
-    x: NDArray[np.float64], beta: float, work: NDArray[np.float64]
-) -> NDArray[np.float64]:
-    """Mean pair distance of each window (m, w, D) -> (m,), from coordinate
-    differences in the two rows of ``work``."""
-    m, w, D = x.shape
-    cols = np.ascontiguousarray(x.transpose(0, 2, 1))  # (m, D, w)
-    sq, diff = work[:, : m * w * w].reshape(2, m, w, w)
-    sq.fill(0.0)
-    for d in range(D):
-        np.subtract(cols[:, d, :, None], cols[:, d, None, :], out=diff)
-        diff *= diff
-        sq += diff
-    np.sqrt(sq, out=sq)
-    if beta != 1.0:
-        sq **= beta
-    return sq.mean(axis=(1, 2))
 
 
 def _pair_gram(x: NDArray[np.float64], beta: float, work: NDArray[np.float64]) -> float:
@@ -133,35 +112,26 @@ def _energy_batch(
 ) -> NDArray[np.float64]:
     """Energy scores for a batch: samples (n, w, D), obs (n, D) -> (n,).
 
-    The pair term has two forms, both in temporaries of at most ``_TILE``
-    doubles.  Windows with D <= 2 and w <= 256 sum squared coordinate
-    differences, ``_TILE // w**2`` windows at a time; this form is exact to
-    the last bit against the (w, w, D) reference.  Every other window takes
-    ``|a_i|**2 + |a_j|**2 - 2 a_i.a_j`` with one matmul per block of
-    ``_TILE // w`` rows, centred on its first member, clamped at 0 and with
-    the diagonal set to 0; it agrees with the reference within 1e-13
-    relative.  The observation term is taken over the same chunks of
-    windows, so no temporary grows with n.  Either way a batch equals its
-    windows scored one by one, bit for bit, and an overflow gives NaN, not 0.
+    Each window is scored alone.  Its pair term is
+    ``|a_i|**2 + |a_j|**2 - 2 a_i.a_j`` over the members centred on the
+    first one, one matmul per block of ``_TILE // w`` rows, clamped at 0
+    and with the diagonal set to 0; it agrees with the (w, w, D) difference
+    form within 1e-13 relative.  All windows reuse one tile, so no
+    temporary grows with n or w**2, and a batch equals its windows scored
+    one by one, bit for bit.  A score that overflows is NaN, never 0.
     """
-    n, w, D = samples.shape
-    direct = D <= 2 and w * w <= _TILE
-    m = _TILE // (w * w) if direct else 1
-    # Every chunk reuses these tiles: a fresh 512 KB temporary per chunk, freed
+    n, w, _ = samples.shape
+    # Every window reuses this tile: a fresh 512 KB temporary per window, freed
     # between small ones, made the allocator return and re-fault its pages.
-    work = np.empty((2, max(_TILE, w)))
+    work = np.empty(max(_TILE, w))
     scores = np.empty(n)
-    for start in range(0, n, m):
-        x = samples[start : start + m]
-        obs_dist = np.linalg.norm(x - obs[start : start + m, None, :], axis=2)
+    for k in range(n):
+        x = samples[k]
+        obs_dist = np.linalg.norm(x - obs[k], axis=1)
         if beta != 1.0:
             obs_dist **= beta
-        if direct:
-            term_pair = _pair_direct(x, beta, work)
-        else:
-            term_pair = _pair_gram(x[0], beta, work[0])
-        scores[start : start + m] = obs_dist.mean(axis=1) - 0.5 * term_pair
-    return np.maximum(0.0, scores)
+        scores[k] = obs_dist.mean() - 0.5 * _pair_gram(x, beta, work)
+    return _nonnegative(scores)
 
 
 def energy_score(samples: ArrayLike, obs: ArrayLike, beta: float = 1.0) -> float:

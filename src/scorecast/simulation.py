@@ -153,6 +153,19 @@ class CellScores:
     window_size: int
 
 
+def _check_cell_args(
+    n_windows: int, window_size: int, n_quantiles: int, beta: float
+) -> tuple[int, int, int, float]:
+    """The per-cell sizes and score parameters, validated and converted."""
+    n_windows = int(n_windows)
+    window_size = int(window_size)
+    if n_windows < 2:
+        raise ValueError(f"need at least 2 windows, got {n_windows}")
+    if window_size < 2:
+        raise ValueError(f"ensemble size must be at least 2, got {window_size}")
+    return n_windows, window_size, _check_n_quantiles(n_quantiles), _check_beta(beta)
+
+
 def run_sensitivity_cell(
     rho: float,
     varrho: float,
@@ -170,15 +183,9 @@ def run_sensitivity_cell(
     then scores the ensemble: CRPS-Sum on the coordinate-summed signal with
     the quantile estimator, ES with the Euclidean energy distance.
     """
-    n_windows = int(n_windows)
-    window_size = int(window_size)
-    if n_windows < 2:
-        raise ValueError(f"need at least 2 windows, got {n_windows}")
-    if window_size < 2:
-        raise ValueError(f"ensemble size must be at least 2, got {window_size}")
-    n_quantiles = _check_n_quantiles(n_quantiles)
-    beta = _check_beta(beta)
-
+    n_windows, window_size, n_quantiles, beta = _check_cell_args(
+        n_windows, window_size, n_quantiles, beta
+    )
     rng = _as_generator(seed)
     data_factor = bivariate_correlation_spec(rho).factor()
     model_factor = bivariate_correlation_spec(varrho).factor()
@@ -223,12 +230,9 @@ class SensitivityConfig:
             self.n_windows = default_windows
         if self.window_size is None:
             self.window_size = default_size
-        self.n_windows = int(self.n_windows)
-        self.window_size = int(self.window_size)
-        if self.n_windows < 1:
-            raise ValueError(f"n_windows must be positive, got {self.n_windows}")
-        if self.window_size < 2:
-            raise ValueError(f"window_size must be at least 2, got {self.window_size}")
+        self.n_windows, self.window_size, self.n_quantiles, self.beta = _check_cell_args(
+            self.n_windows, self.window_size, self.n_quantiles, self.beta
+        )
         self.rho_list = tuple(float(r) for r in self.rho_list)
         self.varrho_list = tuple(float(v) for v in self.varrho_list)
         if not self.rho_list or not self.varrho_list:
@@ -239,8 +243,6 @@ class SensitivityConfig:
         if int(self.seed) < 0:
             raise ValueError("seed must be non-negative")
         self.seed = int(self.seed)
-        self.n_quantiles = _check_n_quantiles(self.n_quantiles)
-        self.beta = _check_beta(self.beta)
 
     def to_dict(self) -> dict:
         return {

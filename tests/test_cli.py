@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from scorecast import forecasters
 from scorecast.cli import _read_ensemble_csv, main
 from scorecast.data import MultivariateSeries
 from scorecast.forecasters import ensemble_to_csv
@@ -164,6 +165,26 @@ def test_exchange_eval_end_to_end(tmp_path, synthetic_series_file):
 
     assert (out / "samples_split_0.csv").exists()
     assert (out / "samples_split_1.csv").exists()
+
+
+def test_exchange_eval_dumps_the_scored_ensembles(tmp_path, synthetic_series_file, monkeypatch):
+    """--dump-samples writes the ensembles that were scored: one draw per split."""
+    calls = []
+    draw = forecasters.make_dummy_forecast
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(forecasters, "make_dummy_forecast", counted)
+    run_ok([
+        "exchange-eval", "--data", str(synthetic_series_file), *EVAL_ARGS,
+        "--dump-samples", "--out", str(tmp_path / "eval"),
+    ])
+    assert len(calls) == 2  # --batches 2
+    assert sorted(p.name for p in (tmp_path / "eval").glob("samples_split_*.csv")) == [
+        "samples_split_0.csv", "samples_split_1.csv",
+    ]
 
 
 def test_exchange_eval_univariate_alias(tmp_path, synthetic_series_file):

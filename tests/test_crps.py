@@ -94,6 +94,14 @@ def test_sample_estimate_non_negative(rng):
         assert crps_sample_estimate(s, float(rng.standard_normal()), unbiased=True) >= 0.0
 
 
+def test_sample_estimate_overflow_is_nan_not_zero():
+    """The pair sum 2.4e308 overflows while E|X - x| = 6e307 does not; the
+    true score is 3e307, and a clamp of the -inf difference would give 0."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        for unbiased in (False, True):
+            assert math.isnan(crps_sample_estimate([-6e307, 6e307], 0.0, unbiased))
+
+
 def test_ecdf_equals_all_pairs_estimate(rng):
     """The step integral and the (biased) all-pairs form are the same functional."""
     for _ in range(200):

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scorecast import (
     crps_empirical_cdf,
@@ -54,6 +55,29 @@ def test_energy_univariate_reduces_to_crps(rng):
         assert energy_score(s, x) == pytest.approx(
             crps_sample_estimate(s[:, 0], float(x[0])), rel=1e-13, abs=1e-15
         )
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    S=st.integers(2, 300),
+    D=st.integers(1, 9),
+    beta=st.sampled_from([1.0, 1.5]),
+    seed=st.integers(0, 2**32 - 1),
+    shift=st.floats(-100.0, 100.0),
+    c=st.floats(1e-3, 1e3),
+)
+def test_energy_score_identities(S, D, beta, seed, shift, c):
+    """Translation leaves ES unchanged, scaling by c scales it by c**beta, and
+    at D = 1, beta = 1 it is the sample CRPS."""
+    gen = np.random.default_rng(seed)
+    x = gen.standard_normal((S, D))
+    y = gen.standard_normal(D)
+    es = energy_score(x, y, beta)
+    t = shift * gen.standard_normal(D)
+    assert energy_score(x + t, y + t, beta) == pytest.approx(es, rel=1e-12)
+    assert energy_score(c * x, c * y, beta) == pytest.approx(c**beta * es, rel=1e-12)
+    if D == 1 and beta == 1.0:
+        assert es == pytest.approx(crps_sample_estimate(x[:, 0], y[0]), rel=1e-12)
 
 
 def test_energy_score_beta_domain():
@@ -111,25 +135,31 @@ def _energy_three_ways(ens, obs, beta):
     )
 
 
-# Windows of D <= 2 and at most 256 members take the direct-difference form;
-# every other window takes the Gram form, in row blocks when S > 256.  Largest
-# relative deviation of the Gram form over these cases: 7.5e-16.
+# Every window takes the Gram form, in row blocks when S > 256.  The cases
+# include a w = 8 window and windows on the lines x2 = +x1 and x2 = -x1 (data
+# correlation +-1).  Largest relative deviation from the direct form over
+# these cases: 7.5e-16.
+_ES_CASES = [
+    (2, 1, 1.0, 0), (21, 2, 1.0, 0), (256, 2, 1.5, 0), (257, 2, 1.0, 0), (64, 3, 1.5, 0),
+    (600, 2, 1.0, 0), (600, 7, 1.5, 0), (400, 8, 1.0, 0), (600, 9, 1.5, 0), (50, 16, 1.0, 0),
+    (8, 2, 1.0, 0), (128, 2, 1.0, 1), (128, 2, 1.5, -1),
+]
+
+
 @pytest.mark.parametrize(
-    "S, D, beta",
-    [(2, 1, 1.0), (21, 2, 1.0), (256, 2, 1.5), (257, 2, 1.0), (64, 3, 1.5),
-     (600, 2, 1.0), (600, 7, 1.5), (400, 8, 1.0), (600, 9, 1.5), (50, 16, 1.0)],
+    "S, D, beta, line", _ES_CASES,
+    ids=[f"{S}-{D}-{b}" + (f"-line{l:+d}" if l else "") for S, D, b, l in _ES_CASES],
 )
-def test_energy_kernel_matches_direct_form(S, D, beta):
-    """Bit-for-bit on the direct form; within 1e-13 relative on the Gram form."""
+def test_energy_kernel_matches_direct_form(S, D, beta, line):
+    """Within 1e-13 relative of the (S, S, D) difference form."""
     gen = np.random.default_rng(S * 100 + D)
     ens = gen.standard_normal((S, 3, D))
+    if line:
+        ens[..., 1] = line * ens[..., 0]
     obs = gen.standard_normal((3, D))
     want = np.array([_energy_direct(ens[:, t], obs[t], beta) for t in range(3)])
     for got in _energy_three_ways(ens, obs, beta):
-        if D <= 2 and S <= 256:
-            assert np.array_equal(got, want)
-        else:
-            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
 
 @pytest.mark.parametrize("D", [2, 3, 8])
@@ -174,11 +204,14 @@ def test_energy_gram_form_resolves_a_tiny_spread():
 
 
 def test_energy_overflow_is_nan_not_zero():
-    """Direct form (D = 2, S = 2) and Gram form (D = 3; D = 2 with S = 300)."""
+    """Both terms overflow (D = 2, 3; S = 2 and 300), or only the pair term
+    does (1e154 members: distances 1e154 from 0, 2e154 between them)."""
     cases = [
         np.array([[1e200, 0.0], [-1e200, 0.0]]),
         np.array([[1e200, 0.0, 0.0], [-1e200, 0.0, 0.0]]),
         np.repeat([[1e200, 0.0], [-1e200, 0.0]], 150, axis=0),
+        np.array([[1e154], [-1e154]]),
+        np.array([[1e154, 0.0, 0.0], [-1e154, 0.0, 0.0]]),
     ]
     for samples in cases:
         D = samples.shape[1]

@@ -113,8 +113,7 @@ def test_energy_batch_matches_scalar_calls(rng):
 
 def test_energy_batch_chunking_is_invisible(rng):
     """A batch scores each window exactly as a batch of that window alone:
-    many windows per tile (w=15, D=2), one Gram block per window (w=15, D=3)
-    and Gram row blocks (w=300)."""
+    one Gram block per window (w=15) and Gram row blocks (w=300)."""
     for w, D in ((15, 2), (15, 3), (300, 2), (300, 3)):
         samples = rng.standard_normal((10, w, D))
         obs = rng.standard_normal((10, D))
@@ -251,6 +250,15 @@ def test_sensitivity_config_validation():
         SensitivityConfig(rho_list=(1.5,))
     with pytest.raises(ValueError):
         SensitivityConfig(window_size=1)
+
+
+def test_sensitivity_config_rejects_what_every_cell_rejects():
+    """One window has no standard error; the config took n_windows=1 and the
+    grid then failed in its first cell."""
+    with pytest.raises(ValueError, match="at least 2 windows"):
+        SensitivityConfig(n_windows=1, window_size=4)
+    with pytest.raises(ValueError, match="at least 2 windows"):
+        run_sensitivity_cell(0.0, 0.0, 1, 4, seed=0)
 
 
 @pytest.mark.parametrize("option", [{"n_quantiles": 0}, {"n_quantiles": -3},

@@ -4,6 +4,8 @@ Univariate CRPS estimators, the multivariate Energy Score and CRPS-Sum,
 Monte Carlo sensitivity/convergence studies, dummy baseline forecasters and
 a rolling evaluation harness for multivariate time series.
 """
+__version__ = "0.1.0"
+
 from .crps import (
     crps_empirical_cdf,
     crps_gaussian_analytic,
@@ -20,8 +22,6 @@ from .data import (
 )
 from .forecasters import (
     DummyConfig,
-    dummy_multivariate_forecast,
-    dummy_univariate_forecast,
     ensemble_to_csv,
     evaluate_dummy_on_splits,
     make_dummy_forecast,
@@ -47,10 +47,7 @@ from .simulation import (
     run_convergence_study,
     run_sensitivity_cell,
     run_sensitivity_grid,
-    sample_gaussian,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [
     "pinball_loss",
@@ -69,7 +66,6 @@ __all__ = [
     "ScoreReport",
     "GaussianSpec",
     "bivariate_correlation_spec",
-    "sample_gaussian",
     "relative_change",
     "SensitivityConfig",
     "SensitivityGridReport",
@@ -77,8 +73,6 @@ __all__ = [
     "run_sensitivity_grid",
     "run_convergence_study",
     "DummyConfig",
-    "dummy_univariate_forecast",
-    "dummy_multivariate_forecast",
     "make_dummy_forecast",
     "ensemble_to_csv",
     "evaluate_dummy_on_splits",

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import forecasters, reporting, simulation
+from . import __version__, forecasters, reporting, simulation
 from .data import load_exchange_rate, load_multivariate_csv, make_rolling_splits
 from .multivariate import ESTIMATORS, NORMALIZATION_MODES, ScoreReport, score_report
 
@@ -136,7 +136,7 @@ def _emit(
 def _cmd_convergence(args: argparse.Namespace) -> int:
     defaults = {
         "seed": 0,
-        "sizes": "200,500,1000,2000,5000",
+        "sizes": simulation.DEFAULT_SAMPLE_SIZES,
         "n_quantiles": "20",
         "repeats": 50,
         "out": "runs/convergence",
@@ -292,7 +292,7 @@ def _cmd_exchange_eval(args: argparse.Namespace) -> int:
 
 def _cmd_sigma_sweep(args: argparse.Namespace) -> int:
     defaults = _eval_defaults() | {
-        "sigmas": ",".join(f"1e-{k}" for k in range(1, 21)),
+        "sigmas": forecasters.DEFAULT_SIGMA_LIST,
         "out": "runs/sigma-sweep",
     }
     defaults.pop("sigma")
@@ -341,9 +341,9 @@ def _read_ensemble_csv(path: str) -> np.ndarray:
             )
         for lineno, row in enumerate(reader, start=2):
             try:
-                s, t, d = int(row[0]), int(row[1]), int(row[2])
-                v = float(row[3])
-            except (ValueError, IndexError):
+                s, t, d, v = row  # exactly four fields
+                s, t, d, v = int(s), int(t), int(d), float(v)
+            except ValueError:
                 raise CliError(f"--ensemble: malformed row {lineno}: {row}") from None
             # With no negative or repeated index, a full count fills every cell once.
             if min(s, t, d) < 0 or (s, t, d) in entries:
@@ -387,7 +387,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     ensemble = _read_ensemble_csv(effective["ensemble"])
     obs = load_multivariate_csv(effective["obs"]).values
-    seed = None if effective["seed"] is None else int(effective["seed"])
+    seed = None if effective["seed"] is None else _check_seed(effective)
     try:
         report = score_report(
             ensemble, obs,
@@ -420,7 +420,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="scorecast",
         description="Probabilistic forecast scoring and evaluation studies.",
     )
-    parser.add_argument("--version", action="version", version=reporting.artifact_version())
+    parser.add_argument(
+        "--version", action="version",
+        version=f"%(prog)s {__version__} (git describe: {reporting.artifact_version()})",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):

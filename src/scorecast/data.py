@@ -8,9 +8,10 @@ eight comma-separated decimal columns, no header.  A gzip-compressed file
 from __future__ import annotations
 
 import gzip
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 from numpy.typing import NDArray
@@ -32,7 +33,6 @@ class MultivariateSeries:
 
     values: NDArray[np.float64]
     dim_names: list[str] = field(default_factory=list)
-    frequency: str = "daily"
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -64,22 +64,25 @@ class MultivariateSeries:
                 fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
-def _open_text(path: Path):
-    if path.suffix == ".gz":
-        return gzip.open(path, "rt", encoding="ascii")
-    return open(path, "r", encoding="ascii")
+def _lines(path: Path):
+    """The file's text lines, gunzipped if the suffix is ``.gz``."""
+    opener = gzip.open if path.suffix == ".gz" else open
+    try:
+        with opener(path, "rt", encoding="ascii") as fh:
+            yield from fh
+    except (gzip.BadGzipFile, EOFError, zlib.error) as exc:
+        raise ValueError(f"{path}: not a readable gzip file ({exc})") from None
 
 
 def load_multivariate_csv(
     path: Union[str, Path],
     expected_dims: Optional[int] = None,
-    dim_names: Optional[Sequence[str]] = None,
-    frequency: str = "daily",
 ) -> MultivariateSeries:
     """Parse a headerless comma-separated table of real numbers.
 
     Malformed input raises ValueError naming the offending 1-based row (and
-    column where applicable).
+    column where applicable); a corrupt or truncated gzip file raises
+    ValueError naming the file.
     """
     path = Path(path)
     if not path.exists():
@@ -87,44 +90,39 @@ def load_multivariate_csv(
 
     rows: list[list[float]] = []
     width: Optional[int] = None
-    with _open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue  # tolerate blank lines (e.g. trailing newline)
-            parts = line.split(",")
-            if width is None:
-                width = len(parts)
-                if expected_dims is not None and width != expected_dims:
-                    raise ValueError(
-                        f"row {lineno}: expected {expected_dims} columns, found {width}"
-                    )
-            elif len(parts) != width:
+    for lineno, line in enumerate(_lines(path), start=1):
+        line = line.strip()
+        if not line:
+            continue  # tolerate blank lines (e.g. trailing newline)
+        parts = line.split(",")
+        if width is None:
+            width = len(parts)
+            if expected_dims is not None and width != expected_dims:
                 raise ValueError(
-                    f"row {lineno}: expected {width} columns, found {len(parts)}"
+                    f"row {lineno}: expected {expected_dims} columns, found {width}"
                 )
-            row = []
-            for col, token in enumerate(parts, start=1):
-                try:
-                    value = float(token)
-                except ValueError:
-                    raise ValueError(
-                        f"row {lineno}, column {col}: could not parse {token.strip()!r} as a number"
-                    ) from None
-                if not np.isfinite(value):
-                    raise ValueError(
-                        f"row {lineno}, column {col}: non-finite value {token.strip()!r}"
-                    )
-                row.append(value)
-            rows.append(row)
+        elif len(parts) != width:
+            raise ValueError(
+                f"row {lineno}: expected {width} columns, found {len(parts)}"
+            )
+        row = []
+        for col, token in enumerate(parts, start=1):
+            try:
+                value = float(token)
+            except ValueError:
+                raise ValueError(
+                    f"row {lineno}, column {col}: could not parse {token.strip()!r} as a number"
+                ) from None
+            if not np.isfinite(value):
+                raise ValueError(
+                    f"row {lineno}, column {col}: non-finite value {token.strip()!r}"
+                )
+            row.append(value)
+        rows.append(row)
 
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    return MultivariateSeries(
-        values=np.asarray(rows, dtype=np.float64),
-        dim_names=list(dim_names) if dim_names else [],
-        frequency=frequency,
-    )
+    return MultivariateSeries(values=np.asarray(rows, dtype=np.float64))
 
 
 def load_exchange_rate(path: Union[str, Path]) -> MultivariateSeries:

@@ -13,7 +13,7 @@ Both are scored over rolling splits; scores can be pooled across splits.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence, Union
 
@@ -33,8 +33,6 @@ from .simulation import RngLike, _as_generator
 
 __all__ = [
     "DummyConfig",
-    "dummy_univariate_forecast",
-    "dummy_multivariate_forecast",
     "make_dummy_forecast",
     "ensemble_to_csv",
     "forecast_and_score_splits",
@@ -105,16 +103,6 @@ def make_dummy_forecast(
     rng = _as_generator(rng if rng is not None else cfg.seed)
     loc = float(arr[-1].mean()) if cfg.kind == "univariate" else arr[-1]
     return rng.normal(loc, cfg.sigma, size=(cfg.n_samples, horizon, arr.shape[1]))
-
-
-def dummy_univariate_forecast(input_window, horizon: int, cfg: DummyConfig, rng: RngLike = None):
-    """``make_dummy_forecast`` with the univariate law, whatever ``cfg.kind``."""
-    return make_dummy_forecast(input_window, horizon, replace(cfg, kind="univariate"), rng)
-
-
-def dummy_multivariate_forecast(input_window, horizon: int, cfg: DummyConfig, rng: RngLike = None):
-    """``make_dummy_forecast`` with the multivariate law, whatever ``cfg.kind``."""
-    return make_dummy_forecast(input_window, horizon, replace(cfg, kind="multivariate"), rng)
 
 
 def ensemble_to_csv(ensemble: NDArray[np.float64], path: Union[str, Path]) -> None:

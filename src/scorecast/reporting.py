@@ -1,8 +1,9 @@
 """Deterministic report writers.
 
 Same inputs must produce byte-identical CSV/JSON payloads, so floats are
-rendered with shortest round-trip repr and key order is fixed.  Volatile
-run facts (timestamps, wall time) go only to the run manifest.
+rendered with shortest round-trip repr and key order is fixed.  Reports name
+the package version, never the checkout they ran from; volatile run facts
+(timestamps, wall time, ``git describe``) go only to the run manifest.
 """
 from __future__ import annotations
 
@@ -13,6 +14,8 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
+from . import __version__
+
 __all__ = [
     "artifact_version",
     "format_value",
@@ -20,9 +23,6 @@ __all__ = [
     "write_json",
     "write_manifest",
 ]
-
-_PACKAGE_VERSION = "0.1.0"
-
 
 @lru_cache(maxsize=1)
 def artifact_version() -> str:
@@ -39,7 +39,7 @@ def artifact_version() -> str:
             return out.stdout.strip()
     except (OSError, subprocess.SubprocessError):
         pass
-    return f"v{_PACKAGE_VERSION}"
+    return f"v{__version__}"
 
 
 def format_value(value) -> str:
@@ -59,11 +59,11 @@ def write_csv(
 ) -> None:
     """Write a tidy CSV with '# key=value' metadata comment lines on top.
 
-    Every report names the artifact version and the effective configuration;
+    Every report names the package version and the effective configuration;
     consumers that dislike comments can skip lines starting with '#'.
     """
     meta = dict(meta or {})
-    meta.setdefault("version", artifact_version())
+    meta.setdefault("version", __version__)
     lines = [f"# {key}={_meta_value(val)}" for key, val in meta.items()]
     lines.append(",".join(columns))
     for row in rows:
@@ -89,8 +89,8 @@ def _sanitize(obj):
 
 
 def write_json(path: Union[str, Path], payload: dict, config: Optional[dict] = None) -> None:
-    """Write a JSON report carrying the artifact version and effective config."""
-    document = {"version": artifact_version()}
+    """Write a JSON report carrying the package version and effective config."""
+    document = {"version": __version__}
     if config is not None:
         document["config"] = _sanitize(config)
     document.update(_sanitize(payload))
@@ -106,14 +106,16 @@ def write_manifest(
     seed: Optional[int],
     wall_time_s: float,
 ) -> None:
-    """Run manifest: config echo, seed, version, wall time and a timestamp.
+    """Run manifest: config echo, seed, versions, wall time and a timestamp.
 
-    The timestamp and wall time make this the one non-reproducible report
-    file; determinism comparisons should exclude it.
+    The timestamp, wall time and ``git describe`` of the checkout make this
+    the one non-reproducible report file; determinism comparisons should
+    exclude it.
     """
     payload = {
         "command": command,
-        "version": artifact_version(),
+        "version": __version__,
+        "git_describe": artifact_version(),
         "seed": seed,
         "config": _sanitize(config),
         "wall_time_s": round(wall_time_s, 3),

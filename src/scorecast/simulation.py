@@ -23,7 +23,6 @@ from .multivariate import _check_beta, _energy_batch
 __all__ = [
     "GaussianSpec",
     "bivariate_correlation_spec",
-    "sample_gaussian",
     "relative_change",
     "CellScores",
     "run_sensitivity_cell",
@@ -101,21 +100,6 @@ def _as_generator(seed: RngLike) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-def sample_gaussian(spec: GaussianSpec, n: int, seed: RngLike = None) -> NDArray[np.float64]:
-    """Draw n samples from the given Gaussian, shape (n, D).
-
-    Degenerate correlations are exact: with a singular covariance the linear
-    constraints hold to the last bit (e.g. for a bivariate correlation of -1
-    the two coordinates of every sample sum to exactly 0.0).
-    """
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"sample count must be positive, got {n}")
-    rng = _as_generator(seed)
-    z = rng.standard_normal((n, spec.mu.shape[0]))
-    return spec.mu + z @ spec.factor().T
 
 
 def relative_change(score_mean: float, reference_mean: float) -> float:

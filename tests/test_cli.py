@@ -1,16 +1,21 @@
 """End-to-end CLI runs on small configurations and synthetic data."""
 import json
+import os
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from scorecast import forecasters
+import scorecast
+from scorecast import __version__, forecasters
 from scorecast.cli import _read_ensemble_csv, main
 from scorecast.data import MultivariateSeries
 from scorecast.forecasters import ensemble_to_csv
 from scorecast.multivariate import score_report
+from scorecast.reporting import artifact_version
 from scorecast.simulation import CSV_COLUMNS_CONVERGENCE, CSV_COLUMNS_SENSITIVITY
 
 from conftest import read_report_csv
@@ -236,6 +241,14 @@ def test_sigma_sweep_end_to_end(tmp_path, synthetic_series_file):
     assert len(doc["rows"]) == 2
 
 
+def test_sigma_sweep_reports_a_corrupt_gzip_table(tmp_path, capsys):
+    table = tmp_path / "rates.csv.gz"
+    table.write_text("1,2,3,4,5,6,7,8\n" * 100)  # plain text behind a .gz suffix
+    assert main(["sigma-sweep", "--data", str(table), "--out", str(tmp_path / "s")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "rates.csv.gz" in err
+
+
 # ---------------------------------------------------------------------------
 # score
 # ---------------------------------------------------------------------------
@@ -328,6 +341,27 @@ def test_score_rejects_negative_and_repeated_indices(tmp_path, stored_case, caps
         assert "negative or repeated index" in capsys.readouterr().err
 
 
+def test_score_rejects_rows_without_exactly_four_fields(tmp_path, capsys):
+    obs = tmp_path / "obs.csv"
+    obs.write_text("1.0\n")
+    for row in ("0,0,0,1.0,99", "0,0,1.0"):
+        dump = tmp_path / "dump.csv"
+        dump.write_text(f"sample_id,t,dim,value\n{row}\n1,0,0,2.0\n")
+        assert main([
+            "score", "--ensemble", str(dump), "--obs", str(obs), "--out", str(tmp_path / "s"),
+        ]) == 2
+        assert "malformed row 2" in capsys.readouterr().err
+
+
+def test_score_rejects_negative_seed(tmp_path, stored_case, capsys):
+    _, _, ens_path, obs_path = stored_case
+    assert main([
+        "score", "--ensemble", str(ens_path), "--obs", str(obs_path),
+        "--seed", "-5", "--out", str(tmp_path / "s"),
+    ]) == 2
+    assert "--seed: must be non-negative" in capsys.readouterr().err
+
+
 def test_ensemble_header_is_enforced(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("a,b,c,d\n0,0,0,1.0\n")
@@ -357,4 +391,61 @@ def test_version_flag():
         [sys.executable, "-m", "scorecast", "--version"], capture_output=True, text=True
     )
     assert proc.returncode == 0
-    assert proc.stdout.strip()
+    assert proc.stdout.strip() == f"scorecast {__version__} (git describe: {artifact_version()})"
+
+
+def _git(cwd, *args):
+    subprocess.run(
+        ["git", "-c", "user.name=t", "-c", "user.email=t@example.com",
+         "-c", "commit.gpgsign=false", *args],
+        cwd=cwd, check=True, capture_output=True,
+    )
+
+
+def test_reports_do_not_depend_on_the_checkout(tmp_path, stored_case):
+    """Reports are the same bytes from a clean git copy, a dirty one and a
+    non-git copy; only the manifest's git_describe tells them apart."""
+    if shutil.which("git") is None:
+        pytest.skip("git is not installed")
+    _, _, ens_path, obs_path = stored_case
+    src = Path(scorecast.__file__).resolve().parent
+    repo, plain = tmp_path / "repo", tmp_path / "plain"
+    for root in (repo, plain):
+        shutil.copytree(src, root / "src" / "scorecast",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    (repo / "NOTES").write_text("tracked\n")
+    _git(repo, "init", "-q")
+    _git(repo, "add", "-A")
+    _git(repo, "commit", "-q", "-m", "copy")
+
+    out = tmp_path / "out"
+    runs = (
+        ["convergence", "--sizes", "50", "--repeats", "2", "--seed", "3",
+         "--out", str(out / "convergence")],
+        ["score", "--ensemble", str(ens_path), "--obs", str(obs_path), "--estimator",
+         "sample", "--seed", "4", "--out", str(out / "score")],
+    )
+
+    def reports(root):
+        # The ceiling keeps git from finding a repository above tmp_path.
+        env = {**os.environ, "PYTHONPATH": str(root / "src"),
+               "GIT_CEILING_DIRECTORIES": str(tmp_path)}
+        for argv in runs:
+            subprocess.run([sys.executable, "-m", "scorecast", *argv],
+                           cwd=root, env=env, check=True, capture_output=True)
+        files = {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*"))
+                 if p.is_file() and p.name != "run_manifest.json"}
+        describe = json.loads((out / "score" / "run_manifest.json").read_text())["git_describe"]
+        return files, describe
+
+    clean, clean_describe = reports(repo)
+    (repo / "NOTES").write_text("edited\n")
+    dirty, dirty_describe = reports(repo)
+    non_git, non_git_describe = reports(plain)
+
+    assert len(clean) == 4
+    assert clean == dirty == non_git
+    # The copies really differ as checkouts, and each ran its own package.
+    assert not clean_describe.endswith("-dirty") and clean_describe != f"v{__version__}"
+    assert dirty_describe == clean_describe + "-dirty"
+    assert non_git_describe == f"v{__version__}"

@@ -105,6 +105,21 @@ def test_gzip_round_trip(tmp_path, rng):
     np.testing.assert_array_equal(load_multivariate_csv(path).values, values)
 
 
+@pytest.mark.parametrize("damage", ["not_gzip", "truncated", "corrupt"])
+def test_load_rejects_corrupt_gzip_naming_the_file(tmp_path, damage):
+    text = "".join(f"{i}.5,{3 * i}.25\n" for i in range(500)).encode("ascii")
+    packed = gzip.compress(text, mtime=0)
+    damaged = {
+        "not_gzip": text,  # BadGzipFile
+        "truncated": packed[: len(packed) // 2],  # EOFError
+        "corrupt": packed[:20] + b"x" * 20 + packed[40:],  # zlib.error
+    }
+    path = tmp_path / "series.csv.gz"
+    path.write_bytes(damaged[damage])
+    with pytest.raises(ValueError, match=r"series\.csv\.gz: not a readable gzip file"):
+        load_multivariate_csv(path)
+
+
 def test_exchange_rate_loader_enforces_eight_columns(tmp_path):
     good = tmp_path / "rates.csv"
     good.write_text("1,2,3,4,5,6,7,8\n" * 3)

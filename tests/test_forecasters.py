@@ -7,8 +7,6 @@ from scorecast.forecasters import (
     DEFAULT_SIGMA_LIST,
     DUMMY_KINDS,
     DummyConfig,
-    dummy_multivariate_forecast,
-    dummy_univariate_forecast,
     ensemble_to_csv,
     evaluate_dummy_on_splits,
     make_dummy_forecast,
@@ -53,7 +51,7 @@ def test_dummy_config_validation():
 
 def test_univariate_dummy_anchors_every_dimension_to_the_row_mean(input_window):
     cfg = DummyConfig(kind="univariate", sigma=1e-6, n_samples=200, seed=8)
-    ens = dummy_univariate_forecast(input_window, horizon=4, cfg=cfg)
+    ens = make_dummy_forecast(input_window, horizon=4, cfg=cfg)
     assert ens.shape == (200, 4, 3)
     # with sigma ~ 1e-6 every entry hugs the scalar anchor 2.0
     np.testing.assert_allclose(ens, 2.0, atol=1e-5)
@@ -61,7 +59,7 @@ def test_univariate_dummy_anchors_every_dimension_to_the_row_mean(input_window):
 
 def test_multivariate_dummy_anchors_each_dimension_separately(input_window):
     cfg = DummyConfig(kind="multivariate", sigma=1e-6, n_samples=200, seed=8)
-    ens = dummy_multivariate_forecast(input_window, horizon=4, cfg=cfg)
+    ens = make_dummy_forecast(input_window, horizon=4, cfg=cfg)
     assert ens.shape == (200, 4, 3)
     np.testing.assert_allclose(ens.mean(axis=(0, 1)), [1.0, 2.0, 3.0], atol=1e-5)
     anchors = np.tile([1.0, 2.0, 3.0], (200, 1))
@@ -70,15 +68,15 @@ def test_multivariate_dummy_anchors_each_dimension_separately(input_window):
 
 def test_dummy_noise_scale_is_respected(input_window):
     cfg = DummyConfig(kind="multivariate", sigma=0.5, n_samples=4000, seed=8)
-    ens = dummy_multivariate_forecast(input_window, horizon=2, cfg=cfg)
+    ens = make_dummy_forecast(input_window, horizon=2, cfg=cfg)
     centered = ens - np.array([1.0, 2.0, 3.0])  # remove per-dim anchors
     assert centered.std() == pytest.approx(0.5, rel=0.05)
 
 
 def test_dummies_are_deterministic(input_window):
     cfg = DummyConfig(kind="univariate", sigma=1e-3, n_samples=16, seed=21)
-    a = dummy_univariate_forecast(input_window, 3, cfg)
-    b = dummy_univariate_forecast(input_window, 3, cfg)
+    a = make_dummy_forecast(input_window, 3, cfg)
+    b = make_dummy_forecast(input_window, 3, cfg)
     np.testing.assert_array_equal(a, b)
 
 
@@ -92,9 +90,9 @@ def test_make_dummy_forecast_dispatch(input_window):
 
 def test_dummy_horizon_validation(input_window):
     with pytest.raises(ValueError):
-        dummy_univariate_forecast(input_window, 0, DummyConfig(kind="univariate"))
+        make_dummy_forecast(input_window, 0, DummyConfig(kind="univariate"))
     with pytest.raises(ValueError):
-        dummy_multivariate_forecast(np.zeros(3), 2, DummyConfig(kind="multivariate"))
+        make_dummy_forecast(np.zeros(3), 2, DummyConfig(kind="multivariate"))
 
 
 def test_ensemble_csv_dump(tmp_path, rng):

@@ -1,6 +1,11 @@
 """Deterministic CSV/JSON emitters."""
 import json
+import warnings
+from pathlib import Path
 
+import pytest
+
+from scorecast import __version__
 from scorecast.reporting import (
     artifact_version,
     format_value,
@@ -16,6 +21,16 @@ def test_artifact_version_is_stable_non_empty():
     v = artifact_version()
     assert isinstance(v, str) and v
     assert artifact_version() == v  # cached, same every call
+
+
+def test_pyproject_version_is_the_package_version():
+    pyproject = pytest.importorskip("setuptools.config.pyprojecttoml")
+    path = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # setuptools flags [tool.setuptools] as beta
+        project = pyproject.read_configuration(path)["project"]
+    assert project["dynamic"] == ["version"]
+    assert project["version"] == __version__
 
 
 def test_format_value():
@@ -38,7 +53,8 @@ def test_write_csv_layout(tmp_path):
     meta, header, rows = read_report_csv(path)
     assert meta["seed"] == "3"
     assert json.loads(meta["config"]) == {"n": 2}
-    assert "version" in meta
+    assert list(meta) == ["seed", "config", "version"]
+    assert meta["version"] == __version__
     assert header == ["alpha", "value"]
     assert rows == [["0.5", "1.25"], ["0.1", ""]]
 
@@ -65,7 +81,8 @@ def test_write_json_embeds_version_and_config(tmp_path):
     doc = json.loads(path.read_text())
     assert doc["config"] == {"seed": 5}
     assert doc["rows"] == [1, 2]
-    assert doc["version"]
+    assert list(doc) == ["version", "config", "rows"]
+    assert doc["version"] == __version__
 
 
 def test_write_json_sanitizes_non_finite(tmp_path):
@@ -84,12 +101,15 @@ def test_write_manifest_fields(tmp_path):
     path = tmp_path / "m.json"
     write_manifest(path, "convergence", {"repeats": 5, "bad": float("nan")}, 7, 1.23456)
     doc = json.loads(path.read_text())
+    assert list(doc)[:3] == ["command", "version", "git_describe"]
     assert doc["command"] == "convergence"
+    assert doc["version"] == __version__
+    assert doc["git_describe"] == artifact_version()
     assert doc["seed"] == 7
     assert doc["config"]["repeats"] == 5
     assert doc["config"]["bad"] is None
     assert doc["wall_time_s"] == 1.235
-    assert "timestamp_utc" in doc and doc["version"]
+    assert "timestamp_utc" in doc
 
 
 def test_csv_meta_handles_nan_inside_config(tmp_path):

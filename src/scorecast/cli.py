@@ -14,7 +14,6 @@ defaults.  Environment variables are never consulted.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 import time
@@ -24,7 +23,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__, forecasters, reporting, simulation
-from .data import load_exchange_rate, load_multivariate_csv, make_rolling_splits
+from ._rowloop import dump_rows
+from .data import _loadtxt, _plain_lines, load_exchange_rate, load_multivariate_csv, make_rolling_splits
 from .multivariate import ESTIMATORS, NORMALIZATION_MODES, ScoreReport, score_report
 
 KIND_ALIASES = {"uni": "univariate", "multi": "multivariate"}
@@ -326,43 +326,53 @@ def _cmd_sigma_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+_DUMP_HEADER = ["sample_id", "t", "dim", "value"]
+_DUMP_ROW = np.dtype([("s", np.int64), ("t", np.int64), ("d", np.int64), ("v", np.float64)])
+
+
+def _bulk_ensemble(data: bytes) -> Optional[np.ndarray]:
+    """The dump's (S, H, D) array from one ``np.loadtxt`` pass, or None where
+    the pass or a whole-array check refuses it."""
+    lines = _plain_lines(data)
+    if not lines or [h.strip() for h in lines[0].split(",")] != _DUMP_HEADER:
+        return None
+    rows = _loadtxt(lines[1:], _DUMP_ROW, ndmin=1)
+    # loadtxt skips blank lines, which the row loop rejects.
+    if rows is None or len(rows) != len(lines) - 1:
+        return None
+    index = (rows["s"], rows["t"], rows["d"])
+    if min(int(i.min()) for i in index) < 0:
+        return None
+    shape = tuple(int(i.max()) + 1 for i in index)
+    if shape[0] * shape[1] * shape[2] != len(rows):
+        return None
+    # A full count of in-range indices fills every cell once unless one repeats.
+    flat = np.ravel_multi_index(index, shape)
+    seen = np.zeros(len(rows), dtype=bool)
+    seen[flat] = True
+    if not seen.all():
+        return None
+    out = np.empty(shape)
+    out.reshape(-1)[flat] = rows["v"]
+    return out
+
+
 def _read_ensemble_csv(path: str) -> np.ndarray:
-    """Read a sample dump (sample_id, t, dim, value) back into (S, H, D)."""
+    """Read a sample dump (sample_id, t, dim, value) back into (S, H, D).
+
+    Rows may come in any order.  A dump that the bulk pass refuses is read
+    row by row, which returns the same array or names the bad row.
+    """
     p = Path(path)
     if not p.exists():
         raise CliError(f"--ensemble: file not found: {p}")
-    entries = {}
-    with open(p, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["sample_id", "t", "dim", "value"]:
-            raise CliError(
-                "--ensemble: expected header 'sample_id,t,dim,value'"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                s, t, d, v = row  # exactly four fields
-                s, t, d, v = int(s), int(t), int(d), float(v)
-            except ValueError:
-                raise CliError(f"--ensemble: malformed row {lineno}: {row}") from None
-            # With no negative or repeated index, a full count fills every cell once.
-            if min(s, t, d) < 0 or (s, t, d) in entries:
-                raise CliError(f"--ensemble: negative or repeated index in row {lineno}: {row}")
-            entries[(s, t, d)] = v
-    if not entries:
-        raise CliError("--ensemble: no data rows")
-    n_s = max(k[0] for k in entries) + 1
-    n_t = max(k[1] for k in entries) + 1
-    n_d = max(k[2] for k in entries) + 1
-    if len(entries) != n_s * n_t * n_d:
-        raise CliError(
-            f"--ensemble: expected {n_s * n_t * n_d} complete rows "
-            f"({n_s} samples x {n_t} steps x {n_d} dims), found {len(entries)}"
-        )
-    out = np.empty((n_s, n_t, n_d))
-    for (s, t, d), v in entries.items():
-        out[s, t, d] = v
-    return out
+    ensemble = _bulk_ensemble(p.read_bytes())
+    if ensemble is None:
+        try:
+            ensemble = dump_rows(p)
+        except ValueError as exc:
+            raise CliError(f"--ensemble: {exc}") from None
+    return ensemble
 
 
 def _cmd_score(args: argparse.Namespace) -> int:

@@ -8,6 +8,7 @@ eight comma-separated decimal columns, no header.  A gzip-compressed file
 from __future__ import annotations
 
 import gzip
+import warnings
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -15,6 +16,8 @@ from typing import Optional, Union
 
 import numpy as np
 from numpy.typing import NDArray
+
+from ._rowloop import table_rows
 
 __all__ = [
     "MultivariateSeries",
@@ -65,13 +68,37 @@ class MultivariateSeries:
 
 
 def _lines(path: Path):
-    """The file's text lines, gunzipped if the suffix is ``.gz``."""
+    """The file's text lines, gunzipped if the suffix is ``.gz``.  A byte
+    outside ASCII decodes to a lone surrogate, which the row loop reports."""
     opener = gzip.open if path.suffix == ".gz" else open
     try:
-        with opener(path, "rt", encoding="ascii") as fh:
+        with opener(path, "rt", encoding="ascii", errors="surrogateescape") as fh:
             yield from fh
     except (gzip.BadGzipFile, EOFError, zlib.error) as exc:
         raise ValueError(f"{path}: not a readable gzip file ({exc})") from None
+
+
+# Printable ASCII, tab and line ends.  On these bytes np.loadtxt's number
+# parsers agree with Python's int() and float(); outside them they do not (it
+# strips \x1c-\x1f as whitespace and reads some non-ASCII digits).
+_PLAIN = bytes(range(0x20, 0x7F)) + b"\t\n\r"
+
+
+def _plain_lines(data: bytes) -> Optional[list[str]]:
+    """The text lines of ``data``, or None unless every byte is plain."""
+    if data.translate(None, _PLAIN):
+        return None
+    return data.decode("ascii").splitlines()
+
+
+def _loadtxt(lines: list[str], dtype, ndmin: int) -> Optional[np.ndarray]:
+    """``np.loadtxt`` of comma-separated lines, or None where it fails or warns."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # e.g. "input contained no data"
+        try:
+            return np.loadtxt(lines, delimiter=",", dtype=dtype, ndmin=ndmin, comments=None)
+        except (ValueError, Warning):
+            return None
 
 
 def load_multivariate_csv(
@@ -81,48 +108,24 @@ def load_multivariate_csv(
     """Parse a headerless comma-separated table of real numbers.
 
     Malformed input raises ValueError naming the offending 1-based row (and
-    column where applicable); a corrupt or truncated gzip file raises
-    ValueError naming the file.
+    column where applicable); a byte outside ASCII names the file and the
+    row; a corrupt or truncated gzip file raises ValueError naming the file.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"data file not found: {path}")
 
-    rows: list[list[float]] = []
-    width: Optional[int] = None
-    for lineno, line in enumerate(_lines(path), start=1):
-        line = line.strip()
-        if not line:
-            continue  # tolerate blank lines (e.g. trailing newline)
-        parts = line.split(",")
-        if width is None:
-            width = len(parts)
-            if expected_dims is not None and width != expected_dims:
-                raise ValueError(
-                    f"row {lineno}: expected {expected_dims} columns, found {width}"
-                )
-        elif len(parts) != width:
-            raise ValueError(
-                f"row {lineno}: expected {width} columns, found {len(parts)}"
-            )
-        row = []
-        for col, token in enumerate(parts, start=1):
-            try:
-                value = float(token)
-            except ValueError:
-                raise ValueError(
-                    f"row {lineno}, column {col}: could not parse {token.strip()!r} as a number"
-                ) from None
-            if not np.isfinite(value):
-                raise ValueError(
-                    f"row {lineno}, column {col}: non-finite value {token.strip()!r}"
-                )
-            row.append(value)
-        rows.append(row)
-
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    return MultivariateSeries(values=np.asarray(rows, dtype=np.float64))
+    lines = list(_lines(path))
+    plain = _plain_lines("".join(lines).encode("ascii", errors="surrogateescape"))
+    values = None if plain is None else _loadtxt(plain, np.float64, ndmin=2)
+    # Anything the bulk pass refuses goes to the row loop, which has the say.
+    if (
+        values is None
+        or not np.isfinite(values).all()
+        or (expected_dims is not None and values.shape[1] != expected_dims)
+    ):
+        values = table_rows(path, lines, expected_dims)
+    return MultivariateSeries(values=values)
 
 
 def load_exchange_rate(path: Union[str, Path]) -> MultivariateSeries:

@@ -12,8 +12,8 @@ Both are scored over rolling splits; scores can be pooled across splits.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
+from itertools import chain, cycle, repeat
 from pathlib import Path
 from typing import Sequence, Union
 
@@ -105,18 +105,33 @@ def make_dummy_forecast(
     return rng.normal(loc, cfg.sigma, size=(cfg.n_samples, horizon, arr.shape[1]))
 
 
+# Values formatted per write, which bounds the dump's memory for any ensemble
+# size.  2**14 writes as fast as 2**16 and holds a quarter of the memory.
+_CHUNK = 1 << 14
+
+
 def ensemble_to_csv(ensemble: NDArray[np.float64], path: Union[str, Path]) -> None:
-    """Dump an (S, H, D) ensemble as tidy rows: sample_id, t, dim, value."""
+    """Dump an (S, H, D) ensemble as tidy rows: sample_id, t, dim, value.
+
+    Rows run in C order with ``\\r\\n`` line ends and shortest-repr floats,
+    the bytes ``csv.writer`` writes for them.
+    """
     ens = np.asarray(ensemble, dtype=np.float64)
     if ens.ndim != 3:
         raise ValueError(f"ensemble must be (S, H, D), got {ens.shape}")
+    n_s, n_t, n_d = ens.shape
+    cells = [f",{t},{d}," for t in range(n_t) for d in range(n_d)]
+    step = max(1, _CHUNK // max(1, len(cells)))
     with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample_id", "t", "dim", "value"])
-        for s in range(ens.shape[0]):
-            for t in range(ens.shape[1]):
-                for d in range(ens.shape[2]):
-                    writer.writerow([s, t, d, repr(float(ens[s, t, d]))])
+        fh.write("sample_id,t,dim,value\r\n")
+        for start in range(0, n_s, step):
+            chunk = ens[start:start + step]
+            sample_ids = chain.from_iterable(
+                repeat(str(s), len(cells)) for s in range(start, start + len(chunk))
+            )
+            fh.writelines(map(
+                "{}{}{}\r\n".format, sample_ids, cycle(cells), map(repr, chunk.ravel().tolist())
+            ))
 
 
 def _split_rng(master_seed: int, split_index: int) -> np.random.Generator:

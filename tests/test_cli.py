@@ -1,17 +1,20 @@
 """End-to-end CLI runs on small configurations and synthetic data."""
+import csv
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import scorecast
-from scorecast import __version__, forecasters
-from scorecast.cli import _read_ensemble_csv, main
+from scorecast import __version__, _rowloop, forecasters
+from scorecast.cli import _bulk_ensemble, _read_ensemble_csv, main
 from scorecast.data import MultivariateSeries
 from scorecast.forecasters import ensemble_to_csv
 from scorecast.multivariate import score_report
@@ -371,6 +374,155 @@ def test_ensemble_header_is_enforced(tmp_path, capsys):
         "score", "--ensemble", str(bad), "--obs", str(obs), "--out", str(tmp_path / "s")
     ]) == 2
     assert "sample_id,t,dim,value" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# sample dumps: the bulk write and read against csv.writer and the row loop
+# ---------------------------------------------------------------------------
+
+def _csv_writer_dump(ens, path):
+    """The dump as ``csv.writer`` wrote it, row by row: the reference bytes."""
+    with open(path, "w", newline="", encoding="ascii") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["sample_id", "t", "dim", "value"])
+        for s in range(ens.shape[0]):
+            for t in range(ens.shape[1]):
+                for d in range(ens.shape[2]):
+                    writer.writerow([s, t, d, repr(float(ens[s, t, d]))])
+
+
+EDGE_VALUES = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1e-25, 1e25, 0.1, 1 / 3])
+
+
+def _mixed_values(shape, seed):
+    """Edge values and normals scaled by 10**k, k in [-300, 300]."""
+    gen = np.random.default_rng(seed)
+    values = gen.standard_normal(shape) * 10.0 ** gen.integers(-300, 301, shape)
+    flat = values.reshape(-1)
+    flat[: EDGE_VALUES.size] = EDGE_VALUES[: flat.size]
+    return values
+
+
+# Chunks of 2**14 values: (683, 3, 8) is one sample past the first chunk,
+# (2000, 3, 8) spans three chunk boundaries.
+@pytest.mark.parametrize("shape", [(1, 1, 1), (1, 3000, 2), (5000, 1, 1), (2000, 3, 8),
+                                   (683, 3, 8), (3, 0, 2), (0, 2, 2)])
+def test_ensemble_dump_bytes_match_csv_writer(tmp_path, shape):
+    ens = _mixed_values(shape, seed=sum(shape))
+    ensemble_to_csv(ens, tmp_path / "bulk.csv")
+    _csv_writer_dump(ens, tmp_path / "reference.csv")
+    assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(shape=st.tuples(st.integers(1, 30), st.integers(1, 5), st.integers(1, 4)),
+       chunk=st.integers(1, 50), seed=st.integers(0, 2**32 - 1))
+def test_ensemble_dump_bytes_match_csv_writer_across_chunks(tmp_path, monkeypatch,
+                                                            shape, chunk, seed):
+    """Small chunks put many chunk boundaries inside small ensembles."""
+    monkeypatch.setattr(forecasters, "_CHUNK", chunk)
+    ens = _mixed_values(shape, seed)
+    ensemble_to_csv(ens, tmp_path / "bulk.csv")
+    _csv_writer_dump(ens, tmp_path / "reference.csv")
+    assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(shape=st.tuples(st.integers(1, 12), st.integers(1, 4), st.integers(1, 4)),
+       seed=st.integers(0, 2**32 - 1), pad=st.sampled_from(["", " ", "\t", "  "]),
+       line_end=st.sampled_from(["\r\n", "\n", "\r"]))
+def test_bulk_dump_read_matches_row_loop(tmp_path, shape, seed, pad, line_end):
+    """Shuffled rows, padded fields and any line end: the bulk pass takes the
+    dump and returns the row loop's array bit for bit."""
+    gen = np.random.default_rng(seed)
+    ens = _mixed_values(shape, seed)
+    ens.reshape(-1)[gen.integers(0, ens.size)] = np.nan
+    cells = [(s, t, d) for s in range(shape[0]) for t in range(shape[1]) for d in range(shape[2])]
+    rows = [f"{pad}{s}{pad},{t}{pad},{pad}{d},{pad}{float(ens[s, t, d])!r}{pad}"
+            for s, t, d in (cells[i] for i in gen.permutation(len(cells)))]
+    path = tmp_path / "dump.csv"
+    path.write_bytes(line_end.join(["sample_id,t,dim,value", *rows, ""]).encode("ascii"))
+    bulk = _bulk_ensemble(path.read_bytes())
+    assert bulk is not None
+    assert bulk.tobytes() == _rowloop.dump_rows(path).tobytes()
+    assert bulk.tobytes() == ens.tobytes()
+    assert _read_ensemble_csv(str(path)).tobytes() == bulk.tobytes()
+
+
+def _score_dump(tmp_path, text):
+    dump, obs = tmp_path / "dump.csv", tmp_path / "obs.csv"
+    dump.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
+    obs.write_text("1.0\n")
+    return main(["score", "--ensemble", str(dump), "--obs", str(obs),
+                 "--out", str(tmp_path / "s")])
+
+
+HEADER = "sample_id,t,dim,value\r\n"
+
+
+@pytest.mark.parametrize("body, message", [
+    ("0,0,0,1.0\r\n\r\n1,0,0,2.0\r\n", "malformed row 3: []"),  # blank line
+    ("0,0,0,1.0\r\n#1,0,0,2.0\r\n", "malformed row 3: ['#1', '0', '0', '2.0']"),
+    ("0,0,0,1.0\r\n1.0,0,0,2.0\r\n", "malformed row 3: ['1.0', '0', '0', '2.0']"),
+    ("0,0,0\r\n1,0,0\r\n", "malformed row 2: ['0', '0', '0']"),
+    ("0,0,0,1.0,9\r\n1,0,0,2.0,9\r\n", "malformed row 2: ['0', '0', '0', '1.0', '9']"),
+    ("0,0,0,1.0\r\n0,0,0,2.0\r\n", "negative or repeated index in row 3: ['0', '0', '0', '2.0']"),
+    ("0,0,0,1.0\r\n1_0,0,0,2.0\r\n",  # int() reads 1_0 as 10
+     "expected 11 complete rows (11 samples x 1 steps x 1 dims), found 2"),
+    ("", "no data rows"),
+])
+def test_dump_rejections_keep_the_row_loop_message(tmp_path, capsys, body, message):
+    assert _score_dump(tmp_path, HEADER + body) == 2
+    assert capsys.readouterr().err == f"error: --ensemble: {message}\n"
+
+
+def test_dump_accepts_what_the_row_loop_accepts(tmp_path):
+    """Quoted fields and Unicode digits pass int() and float(), not loadtxt."""
+    dump = tmp_path / "dump.csv"
+    dump.write_text(HEADER + '"0",0,0,"1.5"\r\n\u0661,0,0,\u0662.5\r\n', encoding="utf-8")
+    assert _bulk_ensemble(dump.read_bytes()) is None
+    np.testing.assert_array_equal(_read_ensemble_csv(str(dump)), [[[1.5]], [[2.5]]])
+
+
+def test_sparse_dump_is_rejected_without_allocating_its_array(tmp_path, capsys):
+    text = HEADER + "0,0,0,1.0\r\n1000000000,0,0,2.0\r\n"
+    tracemalloc.start()
+    try:
+        assert _score_dump(tmp_path, text) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ("error: --ensemble: expected 1000000001 complete rows "
+            "(1000000001 samples x 1 steps x 1 dims), found 2") in capsys.readouterr().err
+    assert peak < 8e6
+
+
+def test_dump_with_a_byte_outside_utf8_names_the_row(tmp_path, capsys):
+    body = b"0,0,0,1.0\r\n1,0,0,2.0\xff\r\n"
+    assert _score_dump(tmp_path, HEADER.encode("ascii") + body) == 2
+    assert capsys.readouterr().err == "error: --ensemble: row 3: byte 0xff is not UTF-8\n"
+
+
+def test_table_with_a_byte_outside_ascii_names_file_and_row(tmp_path, stored_case, capsys):
+    _, _, ens_path, _ = stored_case
+    obs = tmp_path / "obs.csv"
+    obs.write_text("1.0,2.0\n3.0,4.0\u00e9\n", encoding="utf-8")
+    assert main(["score", "--ensemble", str(ens_path), "--obs", str(obs),
+                 "--out", str(tmp_path / "s")]) == 2
+    assert capsys.readouterr().err == f"error: {obs}: row 2: byte 0xc3 is not ASCII\n"
+
+
+def test_dump_write_memory_is_bounded(tmp_path):
+    ens = np.random.default_rng(0).standard_normal((4000, 30, 8))
+    tracemalloc.start()
+    try:
+        ensemble_to_csv(ens, tmp_path / "dump.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 # ---------------------------------------------------------------------------

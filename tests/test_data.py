@@ -1,12 +1,20 @@
 """Headerless CSV loading, series validation, and rolling evaluation splits."""
 import gzip
+import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from scorecast._rowloop import table_rows
 from scorecast.data import (
     EXCHANGE_RATE_DIMS,
     MultivariateSeries,
+    _lines,
+    _loadtxt,
+    _plain_lines,
     load_exchange_rate,
     load_multivariate_csv,
     make_rolling_splits,
@@ -118,6 +126,72 @@ def test_load_rejects_corrupt_gzip_naming_the_file(tmp_path, damage):
     path.write_bytes(damaged[damage])
     with pytest.raises(ValueError, match=r"series\.csv\.gz: not a readable gzip file"):
         load_multivariate_csv(path)
+
+
+@st.composite
+def tables(draw):
+    """Table text: finite values in shortest repr or padded, blank and
+    whitespace-only lines anywhere, either line end."""
+    n_rows, width = draw(st.integers(1, 12)), draw(st.integers(1, 6))
+    values = draw(arrays(np.float64, (n_rows, width),
+                         elements=st.floats(allow_nan=False, allow_infinity=False)))
+    pad = draw(st.sampled_from(["", " ", "\t"]))
+    lines = [",".join(f"{pad}{float(v)!r}{pad}" for v in row) for row in values]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", " ", "\t "])))
+    return values, draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n"
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=tables(), gz=st.booleans())
+def test_load_matches_row_loop(tmp_path, case, gz):
+    """The bulk pass and the row loop read every table to the same bits; the
+    bulk pass takes every table without whitespace-only lines."""
+    values, text = case
+    path = tmp_path / ("t.csv.gz" if gz else "t.csv")
+    path.write_bytes(gzip.compress(text.encode("ascii"), mtime=0) if gz else text.encode("ascii"))
+    got = load_multivariate_csv(path).values
+    reference = table_rows(path, list(_lines(path)), None)
+    assert got.tobytes() == reference.tobytes() == values.tobytes()
+    plain = _plain_lines(text.encode("ascii"))
+    bulk = _loadtxt(plain, np.float64, ndmin=2)
+    if all(line.strip() or not line for line in plain):
+        assert bulk is not None and bulk.tobytes() == values.tobytes()
+
+
+def test_load_blank_only_table_warns_nothing(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text("\n\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="no data rows"):
+            load_multivariate_csv(p)
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".csv.gz"])
+def test_load_names_file_and_row_of_a_byte_outside_ascii(tmp_path, suffix):
+    text = "1.0,2.0\n3.0,4.0\u00e9\n".encode("utf-8")
+    path = tmp_path / f"t{suffix}"
+    path.write_bytes(gzip.compress(text, mtime=0) if suffix == ".csv.gz" else text)
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: row 2: byte 0xc3 is not ASCII$"):
+        load_multivariate_csv(path)
+
+
+def test_load_accepts_what_the_row_loop_accepts(tmp_path):
+    """Whitespace-only lines and 1_0 pass the row loop, not loadtxt."""
+    p = tmp_path / "t.csv"
+    p.write_text("1_0,2\n \t\n3,4.5\n")
+    np.testing.assert_array_equal(load_multivariate_csv(p).values, [[10.0, 2.0], [3.0, 4.5]])
+
+
+def test_load_refers_control_characters_to_the_row_loop(tmp_path):
+    """loadtxt and str.strip() take \\x1c for whitespace, float() does not:
+    the row loop refuses the token (and prints it stripped)."""
+    p = tmp_path / "t.csv"
+    p.write_text("1,2\n3\x1c,4\n")
+    with pytest.raises(ValueError, match=r"^row 2, column 1: could not parse '3' as a number$"):
+        load_multivariate_csv(p)
 
 
 def test_exchange_rate_loader_enforces_eight_columns(tmp_path):

@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -71,12 +72,16 @@ def _merge_config(defaults: dict, config_file: dict, cli_args: argparse.Namespac
 
 
 def _parse_number_list(text, kind=float, flag="--sizes"):
-    if isinstance(text, (list, tuple)):
-        return [kind(v) for v in text]
+    tokens = text if isinstance(text, (list, tuple)) else [
+        tok for tok in str(text).split(",") if tok.strip()
+    ]
     try:
-        return [kind(tok) for tok in str(text).split(",") if tok.strip()]
+        values = [kind(tok) for tok in tokens]
     except ValueError:
         raise CliError(f"{flag}: could not parse {text!r} as comma-separated numbers") from None
+    if not values:
+        raise CliError(f"{flag}: expected at least one number")
+    return values
 
 
 def _out_dir(effective: dict) -> Path:
@@ -99,10 +104,6 @@ def _check_seed(effective: dict) -> int:
     if seed < 0:
         raise CliError("--seed: must be non-negative")
     return seed
-
-
-def _score_rows(reports: Sequence[tuple[str, ScoreReport]]) -> list[tuple]:
-    return [(label, *report.csv_row()) for label, report in reports]
 
 
 def _emit(
@@ -154,13 +155,10 @@ def _cmd_convergence(args: argparse.Namespace) -> int:
 
     out = _out_dir(effective)
     config_echo = {**effective, "sizes": sizes, "n_quantiles": quantile_counts}
-    rows = [
-        (r.estimator, r.sample_size, r.n_quantiles, r.mean, r.std) for r in report.rows
-    ]
     wall = _emit(
         out, "convergence", config_echo, seed, started,
-        {"convergence.csv": (simulation.CSV_COLUMNS_CONVERGENCE, rows)},
-        {"convergence.json": report.to_dict()},
+        {"convergence.csv": reporting.table(simulation.ConvergenceRow, report.rows)},
+        {"convergence.json": asdict(report)},
     )
 
     print(f"convergence: {len(report.rows)} rows -> {out} ({wall:.1f}s)")
@@ -197,11 +195,11 @@ def _cmd_sensitivity(args: argparse.Namespace) -> int:
     report = simulation.run_sensitivity_grid(config)
 
     out = _out_dir(effective)
-    config_echo = config.to_dict() | {"out": str(effective["out"])}
+    config_echo = asdict(config) | {"out": str(effective["out"])}
     wall = _emit(
         out, "sensitivity", config_echo, seed, started,
-        {"sensitivity.csv": (simulation.CSV_COLUMNS_SENSITIVITY, report.rows())},
-        {"sensitivity.json": report.to_dict()},
+        {"sensitivity.csv": reporting.table(simulation.GridCell, report.cells)},
+        {"sensitivity.json": asdict(report)},
     )
 
     print(
@@ -275,7 +273,8 @@ def _cmd_exchange_eval(args: argparse.Namespace) -> int:
         out, "exchange-eval", config_echo, seed, started,
         {
             "scores.csv": (("split", *ScoreReport.CSV_COLUMNS),
-                           _score_rows(labeled + [("pooled", pooled)])),
+                           [(label, *rep.csv_row())
+                            for label, rep in [*labeled, ("pooled", pooled)]]),
             "pooled_score.csv": (ScoreReport.CSV_COLUMNS, [pooled.csv_row()]),
         },
         {"scores.json": {"splits": {label: rep.to_dict() for label, rep in labeled},
@@ -314,12 +313,8 @@ def _cmd_sigma_sweep(args: argparse.Namespace) -> int:
                    "series_rows": series.length}
     wall = _emit(
         out, "sigma-sweep", config_echo, seed, started,
-        {"sigma_sweep.csv": (forecasters.CSV_COLUMNS_SIGMA_SWEEP,
-                             [(r.sigma, r.crps_sum, r.crps, r.es) for r in rows])},
-        {"sigma_sweep.json": {"rows": [
-            {"sigma": r.sigma, "crps_sum": r.crps_sum, "crps": r.crps, "es": r.es}
-            for r in rows
-        ]}},
+        {"sigma_sweep.csv": reporting.table(forecasters.SigmaSweepRow, rows)},
+        {"sigma_sweep.json": {"rows": [asdict(r) for r in rows]}},
     )
 
     print(f"sigma-sweep[{kind}]: {len(rows)} noise scales -> {out} ({wall:.1f}s)")

@@ -12,6 +12,7 @@ Both are scored over rolling splits; scores can be pooled across splits.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import chain, cycle, repeat
 from pathlib import Path
@@ -24,6 +25,7 @@ from .data import EvaluationSplit
 from .multivariate import (
     ScoreReport,
     _check_estimator,
+    _check_normalization,
     _report,
     crps_matrix,
     crps_sum_series,
@@ -57,22 +59,14 @@ class DummyConfig:
         if self.kind not in DUMMY_KINDS:
             raise ValueError(f"unknown dummy kind {self.kind!r}; choose from {DUMMY_KINDS}")
         self.sigma = float(self.sigma)
-        if self.sigma <= 0.0:
-            raise ValueError(f"sigma must be strictly positive, got {self.sigma}")
+        if not (math.isfinite(self.sigma) and self.sigma > 0.0):
+            raise ValueError(f"sigma must be finite and strictly positive, got {self.sigma}")
         self.n_samples = int(self.n_samples)
         if self.n_samples < 2:
             raise ValueError(f"need at least 2 samples, got {self.n_samples}")
         self.seed = int(self.seed)
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "sigma": self.sigma,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-        }
 
 
 def _check_input_window(input_window) -> NDArray[np.float64]:
@@ -163,6 +157,7 @@ def forecast_and_score_splits(
     if not splits:
         raise ValueError("no evaluation splits given")
     _check_estimator(estimator, n_quantiles)
+    _check_normalization(normalization)
 
     ensembles = []
     scored = []  # (mat, cs, es, window) per split
@@ -209,8 +204,6 @@ class SigmaSweepRow:
     crps: float
     es: float
 
-
-CSV_COLUMNS_SIGMA_SWEEP = ("sigma", "crps_sum", "crps", "es")
 
 # Noise scales spanning 20 decades; scores are expected to stabilize once
 # sigma falls below the resolution of the data.

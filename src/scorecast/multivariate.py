@@ -74,6 +74,13 @@ def _check_estimator(estimator: str, n_quantiles: int) -> None:
         _check_n_quantiles(n_quantiles)
 
 
+def _check_normalization(normalization: str) -> None:
+    if normalization not in NORMALIZATION_MODES:
+        raise ValueError(
+            f"unknown normalization {normalization!r}; choose from {NORMALIZATION_MODES}"
+        )
+
+
 # Doubles per row block of the ES pair term (512 KB, a core's share of L2): each
 # window's (w, w) distances are formed ``_TILE // w`` rows at a time.
 _TILE = 1 << 16
@@ -248,15 +255,7 @@ class ScoreReport:
                    "n_quantiles", "seed")
 
     def csv_row(self) -> tuple:
-        return (
-            self.crps_sum,
-            self.crps_aggregate,
-            self.energy_score,
-            self.normalization_mode,
-            self.estimator,
-            self.n_quantiles,
-            self.seed,
-        )
+        return tuple(self.to_dict()[c] for c in self.CSV_COLUMNS)
 
     def to_dict(self) -> dict:
         return {
@@ -290,7 +289,7 @@ def _report(
     if normalization == "raw":
         per_dim = mat.mean(axis=0)
         aggregate, cs_value, es_value = mat.mean(), cs_series.mean(), es_series.mean()
-    elif normalization == "target":
+    else:
         abs_obs = np.abs(window)
         denom_point = abs_obs.sum()
         denom_sum = np.abs(window.sum(axis=1)).sum()
@@ -300,10 +299,6 @@ def _report(
         aggregate = mat.sum() / denom_point
         cs_value = cs_series.sum() / denom_sum
         es_value = es_series.sum() / denom_point
-    else:
-        raise ValueError(
-            f"unknown normalization {normalization!r}; choose from {NORMALIZATION_MODES}"
-        )
     return ScoreReport(
         crps_per_dim=per_dim,
         crps_aggregate=float(aggregate),
@@ -338,6 +333,7 @@ def score_report(
         seed: optional seed recorded for provenance (the seed that generated
             the ensemble); not used for any computation here.
     """
+    _check_normalization(normalization)
     ens = _as_ensemble(ensemble)
     window = _as_observation_window(obs, ens)
     return _report(

@@ -10,15 +10,17 @@ from __future__ import annotations
 import json
 import subprocess
 import time
+from dataclasses import astuple, fields
 from functools import lru_cache
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from . import __version__
 
 __all__ = [
     "artifact_version",
     "format_value",
+    "table",
     "write_csv",
     "write_json",
     "write_manifest",
@@ -49,6 +51,16 @@ def format_value(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
+
+
+def table(row_type: type, rows: Iterable) -> tuple[tuple[str, ...], list[tuple]]:
+    """A report table of dataclass rows: (columns, rows).
+
+    The columns are the fields of ``row_type`` in declaration order, the
+    order of the keys of the row's ``dataclasses.asdict`` as well; taking
+    the type gives an empty table its header too.
+    """
+    return tuple(f.name for f in fields(row_type)), [astuple(row) for row in rows]
 
 
 def write_csv(

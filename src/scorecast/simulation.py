@@ -195,7 +195,12 @@ def run_sensitivity_cell(
 
 @dataclass
 class SensitivityConfig:
-    """Configuration of the full correlation-sensitivity grid."""
+    """Configuration of the full correlation-sensitivity grid.
+
+    Every data correlation rho must also appear among the model correlations
+    (within ``isclose(atol=1e-9)``): the matched-model cell varrho == rho is
+    the reference of the relative changes in rho's row.
+    """
 
     rho_list: Sequence[float] = DEFAULT_RHO_GRID  # data correlations
     varrho_list: Sequence[float] = DEFAULT_VARRHO_GRID  # model correlations
@@ -224,21 +229,14 @@ class SensitivityConfig:
         for value in self.rho_list + self.varrho_list:
             if not -1.0 <= value <= 1.0:
                 raise ValueError(f"correlations must lie in [-1, 1], got {value}")
+        for rho in self.rho_list:
+            if not np.isclose(self.varrho_list, rho, atol=1e-9).any():
+                raise ValueError(
+                    f"rho={rho} has no matching varrho column to serve as its reference"
+                )
         if int(self.seed) < 0:
             raise ValueError("seed must be non-negative")
         self.seed = int(self.seed)
-
-    def to_dict(self) -> dict:
-        return {
-            "rho_list": list(self.rho_list),
-            "varrho_list": list(self.varrho_list),
-            "n_windows": self.n_windows,
-            "window_size": self.window_size,
-            "seed": self.seed,
-            "scale": self.scale,
-            "n_quantiles": self.n_quantiles,
-            "beta": self.beta,
-        }
 
 
 @dataclass
@@ -256,13 +254,6 @@ class GridCell:
     n_windows: int
     window_size: int
     seed: int
-
-
-CSV_COLUMNS_SENSITIVITY = (
-    "rho", "varrho", "crps_sum_mean", "es_mean", "delta_rel_crps_sum",
-    "delta_rel_es", "stderr_crps_sum", "stderr_es", "n_windows",
-    "window_size", "seed",
-)
 
 
 @dataclass
@@ -284,18 +275,6 @@ class SensitivityGridReport:
             raise KeyError(f"no cells at rho={rho}")
         return got
 
-    def rows(self) -> list[tuple]:
-        return [
-            tuple(getattr(c, name) for name in CSV_COLUMNS_SENSITIVITY)
-            for c in self.cells
-        ]
-
-    def to_dict(self) -> dict:
-        return {
-            "config": self.config.to_dict(),
-            "cells": [dict(zip(CSV_COLUMNS_SENSITIVITY, r)) for r in self.rows()],
-        }
-
 
 def _cell_seed(master_seed: int, rho_index: int, varrho_index: int) -> np.random.SeedSequence:
     """Independent per-cell stream derived from the master seed and the
@@ -303,71 +282,51 @@ def _cell_seed(master_seed: int, rho_index: int, varrho_index: int) -> np.random
     return np.random.SeedSequence(entropy=(master_seed, rho_index, varrho_index))
 
 
-# Index used to derive the stream of an off-grid reference cell.
-_REFERENCE_INDEX = 1 << 20
+def _delta(mean: float, ref: float) -> float:
+    """Relative change of a cell mean from its reference mean; NaN when the
+    reference mean is not strictly positive."""
+    return relative_change(mean, ref) if ref > 0.0 else float("nan")
 
 
 def run_sensitivity_grid(config: SensitivityConfig) -> SensitivityGridReport:
     """Run every (rho, varrho) cell and attach relative changes.
 
-    The reference for each data correlation rho is the matched-model cell
-    varrho == rho (computed as an extra cell if rho is absent from
-    varrho_list).  The relative change of the reference cell itself is 0 by
-    construction; when a reference mean is not strictly positive (a
-    degenerate summed signal at rho == -1 has CRPS-Sum exactly 0) the
-    relative change is reported as NaN.
+    The reference for each data correlation rho is its matched-model cell
+    varrho == rho (the last such column).  The relative change of the
+    reference cell itself is 0 by construction; when a reference mean is
+    not strictly positive (a degenerate summed signal at rho == -1 has
+    CRPS-Sum exactly 0) the relative change is reported as NaN.
     """
     report = SensitivityGridReport(config=config)
-
     for i, rho in enumerate(config.rho_list):
-        cells: list[CellScores] = []
-        ref: Optional[CellScores] = None
-        ref_j: Optional[int] = None
-        for j, varrho in enumerate(config.varrho_list):
-            cell = run_sensitivity_cell(
+        cells = [
+            run_sensitivity_cell(
                 rho, varrho, config.n_windows, config.window_size,
                 seed=_cell_seed(config.seed, i, j),
                 n_quantiles=config.n_quantiles, beta=config.beta,
             )
-            cells.append(cell)
-            if np.isclose(varrho, rho, atol=1e-9):
-                ref, ref_j = cell, j
-        if ref is None:
-            ref = run_sensitivity_cell(
-                rho, rho, config.n_windows, config.window_size,
-                seed=_cell_seed(config.seed, i, _REFERENCE_INDEX),
-                n_quantiles=config.n_quantiles, beta=config.beta,
+            for j, varrho in enumerate(config.varrho_list)
+        ]
+        ref_j = np.flatnonzero(np.isclose(config.varrho_list, rho, atol=1e-9))[-1]
+        ref = cells[ref_j]
+        report.cells += [
+            GridCell(
+                rho=cell.rho,
+                varrho=cell.varrho,
+                crps_sum_mean=cell.crps_sum_mean,
+                es_mean=cell.es_mean,
+                delta_rel_crps_sum=(
+                    0.0 if j == ref_j else _delta(cell.crps_sum_mean, ref.crps_sum_mean)
+                ),
+                delta_rel_es=0.0 if j == ref_j else _delta(cell.es_mean, ref.es_mean),
+                stderr_crps_sum=cell.crps_sum_stderr,
+                stderr_es=cell.es_stderr,
+                n_windows=cell.n_windows,
+                window_size=cell.window_size,
+                seed=config.seed,
             )
-
-        for j, cell in enumerate(cells):
-            if j == ref_j:
-                d_cs, d_es = 0.0, 0.0
-            else:
-                d_cs = (
-                    relative_change(cell.crps_sum_mean, ref.crps_sum_mean)
-                    if ref.crps_sum_mean > 0.0
-                    else float("nan")
-                )
-                d_es = (
-                    relative_change(cell.es_mean, ref.es_mean)
-                    if ref.es_mean > 0.0
-                    else float("nan")
-                )
-            report.cells.append(
-                GridCell(
-                    rho=cell.rho,
-                    varrho=cell.varrho,
-                    crps_sum_mean=cell.crps_sum_mean,
-                    es_mean=cell.es_mean,
-                    delta_rel_crps_sum=d_cs,
-                    delta_rel_es=d_es,
-                    stderr_crps_sum=cell.crps_sum_stderr,
-                    stderr_es=cell.es_stderr,
-                    n_windows=cell.n_windows,
-                    window_size=cell.window_size,
-                    seed=config.seed,
-                )
-            )
+            for j, cell in enumerate(cells)
+        ]
     return report
 
 
@@ -387,14 +346,11 @@ class ConvergenceRow:
     std: float
 
 
-CSV_COLUMNS_CONVERGENCE = ("estimator", "sample_size", "n_quantiles", "mean", "std")
-
-
 @dataclass
 class ConvergenceReport:
-    rows: list[ConvergenceRow]
     repeats: int
     seed: int
+    rows: list[ConvergenceRow]
 
     def row(self, estimator: str, sample_size: int, n_quantiles: Optional[int] = None) -> ConvergenceRow:
         for r in self.rows:
@@ -405,22 +361,6 @@ class ConvergenceReport:
             ):
                 return r
         raise KeyError(f"no row for {estimator}, size {sample_size}, N={n_quantiles}")
-
-    def to_dict(self) -> dict:
-        return {
-            "repeats": self.repeats,
-            "seed": self.seed,
-            "rows": [
-                {
-                    "estimator": r.estimator,
-                    "sample_size": r.sample_size,
-                    "n_quantiles": r.n_quantiles,
-                    "mean": r.mean,
-                    "std": r.std,
-                }
-                for r in self.rows
-            ],
-        }
 
 
 def run_convergence_study(

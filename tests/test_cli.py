@@ -19,7 +19,6 @@ from scorecast.data import MultivariateSeries
 from scorecast.forecasters import ensemble_to_csv
 from scorecast.multivariate import score_report
 from scorecast.reporting import artifact_version
-from scorecast.simulation import CSV_COLUMNS_CONVERGENCE, CSV_COLUMNS_SENSITIVITY
 
 from conftest import read_report_csv
 
@@ -39,7 +38,7 @@ def test_convergence_writes_reports(tmp_path):
         "--repeats", "3", "--seed", "1", "--out", str(out),
     ])
     meta, header, rows = read_report_csv(out / "convergence.csv")
-    assert header == list(CSV_COLUMNS_CONVERGENCE)
+    assert tuple(header) == ("estimator", "sample_size", "n_quantiles", "mean", "std")
     assert len(rows) == 6  # (ecdf + sample) x 2 sizes + quantile x 2 sizes x 1 count
     assert meta["seed"] == "1"
     doc = json.loads((out / "convergence.json").read_text())
@@ -88,6 +87,20 @@ def test_negative_seed_rejected(tmp_path, capsys):
     assert "--seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flag, text", [
+    ("convergence", "--sizes", ""),
+    ("convergence", "--n-quantiles", " , "),
+    ("sigma-sweep", "--sigmas", ","),
+])
+def test_empty_number_list_rejected(tmp_path, synthetic_series_file, capsys, command, flag, text):
+    """An empty list wrote a header-only report and exited 0."""
+    data = ["--data", str(synthetic_series_file)] if command == "sigma-sweep" else []
+    out = tmp_path / "out"
+    assert main([command, *data, flag, text, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {flag}: expected at least one number\n"
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # sensitivity
 # ---------------------------------------------------------------------------
@@ -99,7 +112,11 @@ def test_sensitivity_tiny_grid(tmp_path):
         "--seed", "2", "--out", str(out),
     ])
     meta, header, rows = read_report_csv(out / "sensitivity.csv")
-    assert header == list(CSV_COLUMNS_SENSITIVITY)
+    assert tuple(header) == (
+        "rho", "varrho", "crps_sum_mean", "es_mean", "delta_rel_crps_sum",
+        "delta_rel_es", "stderr_crps_sum", "stderr_es", "n_windows",
+        "window_size", "seed",
+    )
     assert len(rows) == 11 * 21
     # the degenerate anti-correlated data row carries NaN relative changes
     nan_rows = [r for r in rows if r[4] == "nan"]
@@ -231,6 +248,15 @@ def test_exchange_eval_rerun_is_byte_identical(tmp_path, synthetic_series_file):
         assert (out / name).read_bytes() == payload
 
 
+@pytest.mark.parametrize("sigma", ["nan", "inf"])
+def test_exchange_eval_rejects_a_non_finite_sigma(tmp_path, synthetic_series_file, capsys, sigma):
+    assert main([
+        "exchange-eval", "--data", str(synthetic_series_file), *EVAL_ARGS,
+        "--sigma", sigma, "--out", str(tmp_path / "eval"),
+    ]) == 2
+    assert "sigma must be finite" in capsys.readouterr().err
+
+
 def test_sigma_sweep_end_to_end(tmp_path, synthetic_series_file):
     out = tmp_path / "sweep"
     run_ok([
@@ -242,6 +268,42 @@ def test_sigma_sweep_end_to_end(tmp_path, synthetic_series_file):
     assert [float(r[0]) for r in rows] == [1e-3, 1e-4]
     doc = json.loads((out / "sigma_sweep.json").read_text())
     assert len(doc["rows"]) == 2
+
+
+def test_sigma_sweep_rerun_is_byte_identical(tmp_path, synthetic_series_file):
+    out = tmp_path / "sweep"
+    argv = [
+        "sigma-sweep", "--data", str(synthetic_series_file), "--sigmas", "1e-2,1e-20",
+        *EVAL_ARGS, "--out", str(out),
+    ]
+    run_ok(argv)
+    names = ("sigma_sweep.csv", "sigma_sweep.json")
+    first = {name: (out / name).read_bytes() for name in names}
+    run_ok(argv)
+    for name, payload in first.items():
+        assert (out / name).read_bytes() == payload
+
+
+def test_report_csv_headers_are_the_json_row_keys(tmp_path, synthetic_series_file):
+    """Each table's columns are its JSON rows' keys, in the same order; the
+    JSON score rows add only the per-dimension CRPS."""
+    run_ok(["convergence", "--sizes", "50", "--repeats", "2", "--out", str(tmp_path / "conv")])
+    run_ok(["sensitivity", "--n-windows", "4", "--window-size", "4",
+            "--out", str(tmp_path / "sens")])
+    run_ok(["sigma-sweep", "--data", str(synthetic_series_file), "--sigmas", "1e-3",
+            *EVAL_ARGS, "--out", str(tmp_path / "sweep")])
+    run_ok(["exchange-eval", "--data", str(synthetic_series_file), *EVAL_ARGS,
+            "--out", str(tmp_path / "eval")])
+    tables = (
+        ("conv/convergence.csv", "conv/convergence.json", lambda doc: doc["rows"][0]),
+        ("sens/sensitivity.csv", "sens/sensitivity.json", lambda doc: doc["cells"][0]),
+        ("sweep/sigma_sweep.csv", "sweep/sigma_sweep.json", lambda doc: doc["rows"][0]),
+        ("eval/pooled_score.csv", "eval/scores.json", lambda doc: doc["pooled"]),
+    )
+    for csv_name, json_name, first_row in tables:
+        _, header, _ = read_report_csv(tmp_path / csv_name)
+        keys = list(first_row(json.loads((tmp_path / json_name).read_text())))
+        assert header == [k for k in keys if k != "crps_per_dim"], csv_name
 
 
 def test_sigma_sweep_reports_a_corrupt_gzip_table(tmp_path, capsys):
@@ -285,6 +347,20 @@ def test_score_command_matches_library(tmp_path, stored_case):
     assert float(got["crps_sum"]) == pytest.approx(want.crps_sum, rel=1e-15)
     assert float(got["crps"]) == pytest.approx(want.crps_aggregate, rel=1e-15)
     assert float(got["es"]) == pytest.approx(want.energy_score, rel=1e-15)
+
+
+def test_score_rerun_is_byte_identical(tmp_path, stored_case):
+    _, _, ens_path, obs_path = stored_case
+    out = tmp_path / "score"
+    argv = [
+        "score", "--ensemble", str(ens_path), "--obs", str(obs_path),
+        "--normalize", "target", "--seed", "8", "--out", str(out),
+    ]
+    run_ok(argv)
+    first = {name: (out / name).read_bytes() for name in ("score.csv", "score.json")}
+    run_ok(argv)
+    for name, payload in first.items():
+        assert (out / name).read_bytes() == payload
 
 
 def test_score_perfect_ensemble_is_all_zero(tmp_path):

@@ -1,7 +1,10 @@
 """Dummy persistence-style forecasters, split evaluation, and the noise sweep."""
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
+from scorecast import multivariate
 from scorecast.data import make_rolling_splits
 from scorecast.forecasters import (
     DEFAULT_SIGMA_LIST,
@@ -9,6 +12,7 @@ from scorecast.forecasters import (
     DummyConfig,
     ensemble_to_csv,
     evaluate_dummy_on_splits,
+    forecast_and_score_splits,
     make_dummy_forecast,
     sigma_sweep,
 )
@@ -29,7 +33,7 @@ def test_dummy_config_defaults_and_echo():
     assert cfg.sigma == 1e-4
     assert cfg.n_samples == 400
     assert cfg.seed == 0
-    echo = cfg.to_dict()
+    echo = asdict(cfg)
     assert echo["kind"] == "multivariate" and echo["sigma"] == 1e-4
 
 
@@ -38,6 +42,9 @@ def test_dummy_config_validation():
         DummyConfig(kind="persistence")
     with pytest.raises(ValueError):
         DummyConfig(kind="univariate", sigma=0.0)
+    for sigma in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="sigma must be finite"):
+            DummyConfig(kind="univariate", sigma=sigma)
     with pytest.raises(ValueError):
         DummyConfig(kind="univariate", n_samples=1)
     with pytest.raises(ValueError):
@@ -125,6 +132,15 @@ def test_evaluate_produces_one_report_per_split(splits):
         assert rep.crps_aggregate > 0
         assert rep.crps_sum > 0
         assert rep.energy_score > 0
+
+
+def test_unknown_normalization_is_rejected_before_scoring(splits, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("scored before checking normalization")
+
+    monkeypatch.setattr(multivariate, "_energy_batch", unreachable)
+    with pytest.raises(ValueError, match="normalization"):
+        forecast_and_score_splits(splits, DummyConfig(n_samples=8), normalization="bogus")
 
 
 def test_evaluate_is_deterministic(splits):

@@ -16,6 +16,7 @@ from scorecast import (
     energy_score,
     energy_score_window,
     energy_series,
+    multivariate,
     score_report,
 )
 from scorecast.cli import build_parser
@@ -400,6 +401,16 @@ def test_target_normalization_rejects_zero_magnitude_targets():
     ens = np.random.default_rng(5).standard_normal((8, 2, 2))
     with pytest.raises(ValueError, match="normalization"):
         score_report(ens, np.zeros((2, 2)), normalization="target")
+
+
+def test_score_report_checks_normalization_before_scoring(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("scored before checking normalization")
+
+    monkeypatch.setattr(multivariate, "_energy_batch", unreachable)
+    ens = np.random.default_rng(6).standard_normal((8, 3, 2))
+    with pytest.raises(ValueError, match="normalization"):
+        score_report(ens, np.zeros((3, 2)), normalization="bogus")
 
 
 def test_score_report_perfect_forecast_all_zero():

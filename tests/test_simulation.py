@@ -4,13 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from scorecast.reporting import table
 from scorecast.simulation import (
-    CSV_COLUMNS_SENSITIVITY,
     DEFAULT_RHO_GRID,
     DEFAULT_VARRHO_GRID,
     ESTIMATORS,
     SCALES,
     GaussianSpec,
+    GridCell,
     SensitivityConfig,
     _crps_quantile_batch,
     _energy_batch,
@@ -210,15 +211,19 @@ def test_grid_deterministic(micro_grid):
     cfg, rep = micro_grid
     again = run_sensitivity_grid(cfg)
     # rows contain NaN deltas, so compare with NaN-tolerant equality
-    np.testing.assert_equal(rep.rows(), again.rows())
+    np.testing.assert_equal(table(GridCell, rep.cells), table(GridCell, again.cells))
 
 
 def test_grid_rows_match_csv_columns(micro_grid):
     cfg, rep = micro_grid
-    rows = rep.rows()
+    columns, rows = table(GridCell, rep.cells)
+    assert columns == (
+        "rho", "varrho", "crps_sum_mean", "es_mean", "delta_rel_crps_sum",
+        "delta_rel_es", "stderr_crps_sum", "stderr_es", "n_windows",
+        "window_size", "seed",
+    )
     assert len(rows) == len(rep.cells)
-    assert len(rows[0]) == len(CSV_COLUMNS_SENSITIVITY)
-    lookup = dict(zip(CSV_COLUMNS_SENSITIVITY, rows[0]))
+    lookup = dict(zip(columns, rows[0]))
     assert lookup["rho"] == rep.cells[0].rho
     assert lookup["seed"] == cfg.seed
     assert lookup["n_windows"] == cfg.n_windows
@@ -254,6 +259,16 @@ def test_sensitivity_config_validation():
         SensitivityConfig(rho_list=(1.5,))
     with pytest.raises(ValueError):
         SensitivityConfig(window_size=1)
+
+
+def test_sensitivity_config_rejects_a_rho_without_its_reference_column():
+    """Each rho row is measured against its varrho == rho cell, so that
+    column must be on the grid."""
+    with pytest.raises(ValueError, match="rho=0.3 has no matching varrho"):
+        SensitivityConfig(rho_list=(0.0, 0.3), varrho_list=(0.0, 0.5))
+    # A match within the grid's tolerance is the same column.
+    cfg = SensitivityConfig(rho_list=(0.3,), varrho_list=(0.1 + 0.2,))
+    assert cfg.rho_list == (0.3,)
 
 
 def test_sensitivity_config_rejects_what_every_cell_rejects():

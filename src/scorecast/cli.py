@@ -8,6 +8,14 @@ exchange-eval  dummy-forecaster audit on the daily exchange-rate table
 sigma-sweep    dummy-forecaster scores across noise scales
 score          score a stored ensemble against stored observations
 
+Each option is declared once, in ``COMMANDS``, as (converter, default, help);
+that table builds the subparsers and the defaults that ``--help`` shows.
+Every value passes once through its option's converter, whether it is a
+flag's text, a ``--config`` file's JSON value or the default, so a config
+value is accepted exactly when the same value given as the flag is, and gives
+the same effective value.  A JSON null is accepted only where the default is
+null, and there it means "not given".
+
 Configuration precedence: command-line flags > --config JSON file > built-in
 defaults.  Environment variables are never consulted.
 """
@@ -17,7 +25,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -28,25 +36,93 @@ from ._rowloop import dump_rows
 from .data import _loadtxt, _plain_lines, load_exchange_rate, load_multivariate_csv, make_rolling_splits
 from .multivariate import ESTIMATORS, NORMALIZATION_MODES, ScoreReport, score_report
 
-KIND_ALIASES = {"uni": "univariate", "multi": "multivariate"}
-
 
 class CliError(Exception):
     """User-facing configuration or input error (exit code 2)."""
 
 
 # --------------------------------------------------------------------------
-# config plumbing
+# options: converters (a flag's text or a config file's JSON value -> typed)
+# and the config file
 # --------------------------------------------------------------------------
+
+def _text(value) -> str:
+    """A value as its flag's text: a JSON number, boolean or null is spelt as in JSON."""
+    return value if isinstance(value, str) else json.dumps(value)
+
+
+def _number(kind, noun):
+    def number(value):
+        try:
+            return kind(_text(value))
+        except ValueError:
+            raise ValueError(f"expected {noun}, got {_text(value)!r}") from None
+    return number
+
+
+_integer, _real = _number(int, "an integer"), _number(float, "a number")
+
+
+def _seed(value) -> int:
+    seed = _integer(value)
+    if seed < 0:
+        raise ValueError("must be non-negative")
+    return seed
+
+
+def _numbers(convert):
+    """A list of ``convert`` values: comma-separated flag text or a JSON list."""
+    def numbers(value) -> list:
+        tokens = [_text(tok) for tok in (value if isinstance(value, (list, tuple))
+                                         else _text(value).split(","))]
+        values = [convert(tok) for tok in tokens if tok.strip()]
+        if not values:
+            raise ValueError("expected at least one number")
+        return values
+    return numbers
+
+
+@dataclass
+class _Choice:
+    """One of ``choices`` (argparse checks a flag against them); an alias
+    resolves to the name the library takes."""
+    choices: tuple[str, ...]
+    aliases: dict[str, str] = field(default_factory=dict)
+
+    def __call__(self, value) -> str:
+        text = _text(value)
+        if text not in self.choices:
+            raise ValueError(f"invalid choice {text!r} (choose from {', '.join(self.choices)})")
+        return self.aliases.get(text, text)
+
+
+def _switch(value) -> bool:
+    """A flag without a value; in a config file, a JSON boolean."""
+    if not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {json.dumps(value)}")
+    return value
+
+
+def _path(value) -> str:
+    if not isinstance(value, str) or not value:
+        raise ValueError(f"expected a path, got {json.dumps(value)}")
+    return value
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
 
 def _load_config_file(path: Optional[str]) -> dict:
     if path is None:
         return {}
     p = Path(path)
-    if not p.exists():
-        raise CliError(f"--config: file not found: {p}")
     try:
         payload = json.loads(p.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise CliError(f"--config: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise CliError(f"--config: {p}: byte 0x{exc.object[exc.start]:02x} is not UTF-8") from None
     except json.JSONDecodeError as exc:
         raise CliError(f"--config: {p} is not valid JSON ({exc})") from None
     if not isinstance(payload, dict):
@@ -54,73 +130,51 @@ def _load_config_file(path: Optional[str]) -> dict:
     return payload
 
 
-def _merge_config(defaults: dict, config_file: dict, cli_args: argparse.Namespace) -> dict:
-    """defaults < config file < explicitly passed flags."""
-    effective = dict(defaults)
-    for key, value in config_file.items():
-        norm = key.replace("-", "_")
-        if norm not in defaults:
-            raise CliError(
-                f"--config: unknown option {key!r}; allowed: {sorted(defaults)}"
-            )
-        effective[norm] = value
-    for key in defaults:
-        value = getattr(cli_args, key, None)
-        if value is not None:
-            effective[key] = value
+def _effective(options: dict, args: argparse.Namespace) -> dict:
+    """Every option's flag, else config-file value, else default, converted."""
+    config = {}
+    for key, value in _load_config_file(args.config).items():
+        name = key.replace("-", "_")
+        if name not in options:
+            raise CliError(f"--config: unknown option {key!r}; allowed: {sorted(options)}")
+        config[name] = value
+    effective = {}
+    for name, (convert, default, _) in options.items():
+        value = getattr(args, name)
+        if value is None:
+            value = config.get(name, default)
+        try:
+            effective[name] = None if value is None and default is None else convert(value)
+        except ValueError as exc:
+            raise CliError(f"{_flag(name)}: {exc}") from None
     return effective
-
-
-def _parse_number_list(text, kind=float, flag="--sizes"):
-    tokens = text if isinstance(text, (list, tuple)) else [
-        tok for tok in str(text).split(",") if tok.strip()
-    ]
-    try:
-        values = [kind(tok) for tok in tokens]
-    except ValueError:
-        raise CliError(f"{flag}: could not parse {text!r} as comma-separated numbers") from None
-    if not values:
-        raise CliError(f"{flag}: expected at least one number")
-    return values
 
 
 def _out_dir(effective: dict) -> Path:
     out = Path(effective["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _check_choice(value: str, allowed: Sequence[str], flag: str) -> str:
-    if value not in allowed:
-        raise CliError(f"{flag}: invalid value {value!r}; allowed: {sorted(allowed)}")
-    return value
-
-
-def _check_seed(effective: dict) -> int:
     try:
-        seed = int(effective["seed"])
-    except (TypeError, ValueError):
-        raise CliError(f"--seed: expected an integer, got {effective['seed']!r}") from None
-    if seed < 0:
-        raise CliError("--seed: must be non-negative")
-    return seed
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CliError(f"--out: {exc}") from None
+    return out
 
 
 def _emit(
     out: Path,
     command: str,
     config_echo: dict,
-    seed: Optional[int],
     started: float,
     tables: dict[str, tuple[Sequence[str], Sequence[Sequence]]],
     documents: dict[str, dict],
 ) -> float:
-    """Write a run's CSV tables and JSON documents, then its manifest.
+    """Write a run's CSV tables and JSON documents, then its manifest; the
+    run's seed is the config echo's.
 
     ``tables`` maps file names to (columns, rows), ``documents`` maps file
     names to JSON payloads.  Returns the wall time since ``started``, taken
     after the reports are written and recorded in the manifest.
     """
+    seed = config_echo["seed"]
     for name, (columns, rows) in tables.items():
         reporting.write_csv(out / name, columns, rows, meta={"seed": seed, "config": config_echo})
     for name, payload in documents.items():
@@ -131,32 +185,18 @@ def _emit(
 
 
 # --------------------------------------------------------------------------
-# subcommands
+# subcommands: each takes the typed options, in config-echo order
 # --------------------------------------------------------------------------
 
-def _cmd_convergence(args: argparse.Namespace) -> int:
-    defaults = {
-        "seed": 0,
-        "sizes": simulation.DEFAULT_SAMPLE_SIZES,
-        "n_quantiles": "20",
-        "repeats": 50,
-        "out": "runs/convergence",
-    }
-    effective = _merge_config(defaults, _load_config_file(args.config), args)
-    seed = _check_seed(effective)
-    sizes = _parse_number_list(effective["sizes"], int, "--sizes")
-    quantile_counts = _parse_number_list(effective["n_quantiles"], int, "--n-quantiles")
-    repeats = int(effective["repeats"])
-
+def _cmd_convergence(effective: dict) -> int:
     started = time.perf_counter()
-    report = simulation.run_convergence_study(
-        sample_sizes=sizes, n_quantiles=quantile_counts, repeats=repeats, seed=seed
-    )
-
     out = _out_dir(effective)
-    config_echo = {**effective, "sizes": sizes, "n_quantiles": quantile_counts}
+    report = simulation.run_convergence_study(
+        sample_sizes=effective["sizes"], n_quantiles=effective["n_quantiles"],
+        repeats=effective["repeats"], seed=effective["seed"],
+    )
     wall = _emit(
-        out, "convergence", config_echo, seed, started,
+        out, "convergence", effective, started,
         {"convergence.csv": reporting.table(simulation.ConvergenceRow, report.rows)},
         {"convergence.json": asdict(report)},
     )
@@ -171,33 +211,16 @@ def _cmd_convergence(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sensitivity(args: argparse.Namespace) -> int:
-    defaults = {
-        "seed": 0,
-        "scale": "desk",
-        "n_windows": None,
-        "window_size": None,
-        "n_quantiles": 20,
-        "out": "runs/sensitivity",
-    }
-    effective = _merge_config(defaults, _load_config_file(args.config), args)
-    seed = _check_seed(effective)
-    scale = _check_choice(effective["scale"], tuple(simulation.SCALES), "--scale")
-
-    config = simulation.SensitivityConfig(
-        n_windows=effective["n_windows"],
-        window_size=effective["window_size"],
-        seed=seed,
-        scale=scale,
-        n_quantiles=int(effective["n_quantiles"]),
-    )
+def _cmd_sensitivity(effective: dict) -> int:
+    # Every option but --out is a SensitivityConfig field.
+    config = simulation.SensitivityConfig(**{k: v for k, v in effective.items() if k != "out"})
     started = time.perf_counter()
+    out = _out_dir(effective)
     report = simulation.run_sensitivity_grid(config)
 
-    out = _out_dir(effective)
-    config_echo = asdict(config) | {"out": str(effective["out"])}
+    config_echo = asdict(config) | {"out": effective["out"]}
     wall = _emit(
-        out, "sensitivity", config_echo, seed, started,
+        out, "sensitivity", config_echo, started,
         {"sensitivity.csv": reporting.table(simulation.GridCell, report.cells)},
         {"sensitivity.json": asdict(report)},
     )
@@ -209,68 +232,37 @@ def _cmd_sensitivity(args: argparse.Namespace) -> int:
     return 0
 
 
-def _eval_defaults() -> dict:
-    return {
-        "seed": 0,
-        "data": None,
-        "kind": "multi",
-        "sigma": 1e-4,
-        "samples": 400,
-        "estimator": "quantile",
-        "n_quantiles": 20,
-        "normalize": "target",
-        "batches": 5,
-        "horizon": 30,
-        "input_length": 30,
-        "out": "runs/exchange-eval",
-        "dump_samples": False,
-    }
-
-
 def _load_splits(effective: dict):
-    if not effective["data"]:
+    if effective["data"] is None:
         raise CliError("--data: path to the exchange-rate CSV is required")
     series = load_exchange_rate(effective["data"])
     return series, make_rolling_splits(
         series,
-        n_batches=int(effective["batches"]),
-        horizon=int(effective["horizon"]),
-        input_length=int(effective["input_length"]),
+        n_batches=effective["batches"],
+        horizon=effective["horizon"],
+        input_length=effective["input_length"],
     )
 
 
-def _scoring_options(effective: dict) -> tuple[str, int, str, str]:
-    estimator = _check_choice(effective["estimator"], tuple(ESTIMATORS), "--estimator")
-    normalize = _check_choice(effective["normalize"], NORMALIZATION_MODES, "--normalize")
-    kind = effective["kind"]
-    kind = KIND_ALIASES.get(kind, kind)
-    _check_choice(kind, forecasters.DUMMY_KINDS, "--kind")
-    return estimator, int(effective["n_quantiles"]), normalize, kind
-
-
-def _cmd_exchange_eval(args: argparse.Namespace) -> int:
-    effective = _merge_config(_eval_defaults(), _load_config_file(args.config), args)
-    seed = _check_seed(effective)
-    estimator, n_quantiles, normalize, kind = _scoring_options(effective)
-
+def _cmd_exchange_eval(effective: dict) -> int:
+    cfg = forecasters.DummyConfig(
+        kind=effective["kind"], sigma=effective["sigma"],
+        n_samples=effective["samples"], seed=effective["seed"],
+    )
     started = time.perf_counter()
     series, splits = _load_splits(effective)
-    cfg = forecasters.DummyConfig(
-        kind=kind, sigma=float(effective["sigma"]),
-        n_samples=int(effective["samples"]), seed=seed,
-    )
+    out = _out_dir(effective)
     ensembles, per_split, pooled = forecasters.forecast_and_score_splits(
-        splits, cfg, estimator=estimator, n_quantiles=n_quantiles, normalization=normalize
+        splits, cfg, estimator=effective["estimator"], n_quantiles=effective["n_quantiles"],
+        normalization=effective["normalize"],
     )
 
-    out = _out_dir(effective)
-    config_echo = {**effective, "kind": kind, "seed": seed, "series_rows": series.length}
     labeled = [(f"split_{r.split_index}", rep) for r, rep in zip(splits, per_split)]
     if effective["dump_samples"]:
         for split, ens in zip(splits, ensembles):
             forecasters.ensemble_to_csv(ens, out / f"samples_split_{split.split_index}.csv")
     wall = _emit(
-        out, "exchange-eval", config_echo, seed, started,
+        out, "exchange-eval", effective | {"series_rows": series.length}, started,
         {
             "scores.csv": (("split", *ScoreReport.CSV_COLUMNS),
                            [(label, *rep.csv_row())
@@ -281,7 +273,7 @@ def _cmd_exchange_eval(args: argparse.Namespace) -> int:
                          "pooled": pooled.to_dict()}},
     )
 
-    print(f"exchange-eval[{kind}]: {len(splits)} splits -> {out} ({wall:.1f}s)")
+    print(f"exchange-eval[{cfg.kind}]: {len(splits)} splits -> {out} ({wall:.1f}s)")
     print(
         f"  pooled ({pooled.normalization_mode}): crps_sum={pooled.crps_sum:.6f} "
         f"crps={pooled.crps_aggregate:.6f} es={pooled.energy_score:.6f}"
@@ -289,35 +281,23 @@ def _cmd_exchange_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sigma_sweep(args: argparse.Namespace) -> int:
-    defaults = _eval_defaults() | {
-        "sigmas": forecasters.DEFAULT_SIGMA_LIST,
-        "out": "runs/sigma-sweep",
-    }
-    defaults.pop("sigma")
-    defaults.pop("dump_samples")
-    effective = _merge_config(defaults, _load_config_file(args.config), args)
-    seed = _check_seed(effective)
-    estimator, n_quantiles, normalize, kind = _scoring_options(effective)
-    sigmas = _parse_number_list(effective["sigmas"], float, "--sigmas")
-
+def _cmd_sigma_sweep(effective: dict) -> int:
     started = time.perf_counter()
     series, splits = _load_splits(effective)
+    out = _out_dir(effective)
     rows = forecasters.sigma_sweep(
-        kind, sigmas, splits, n_samples=int(effective["samples"]), seed=seed,
-        estimator=estimator, n_quantiles=n_quantiles, normalization=normalize,
+        effective["kind"], effective["sigmas"], splits, n_samples=effective["samples"],
+        seed=effective["seed"], estimator=effective["estimator"],
+        n_quantiles=effective["n_quantiles"], normalization=effective["normalize"],
     )
 
-    out = _out_dir(effective)
-    config_echo = {**effective, "kind": kind, "seed": seed, "sigmas": sigmas,
-                   "series_rows": series.length}
     wall = _emit(
-        out, "sigma-sweep", config_echo, seed, started,
+        out, "sigma-sweep", effective | {"series_rows": series.length}, started,
         {"sigma_sweep.csv": reporting.table(forecasters.SigmaSweepRow, rows)},
         {"sigma_sweep.json": {"rows": [asdict(r) for r in rows]}},
     )
 
-    print(f"sigma-sweep[{kind}]: {len(rows)} noise scales -> {out} ({wall:.1f}s)")
+    print(f"sigma-sweep[{effective['kind']}]: {len(rows)} noise scales -> {out} ({wall:.1f}s)")
     return 0
 
 
@@ -370,41 +350,24 @@ def _read_ensemble_csv(path: str) -> np.ndarray:
     return ensemble
 
 
-def _cmd_score(args: argparse.Namespace) -> int:
-    defaults = {
-        "seed": None,
-        "ensemble": None,
-        "obs": None,
-        "estimator": "quantile",
-        "n_quantiles": 20,
-        "normalize": "raw",
-        "beta": 1.0,
-        "out": "runs/score",
-    }
-    effective = _merge_config(defaults, _load_config_file(args.config), args)
-    estimator = _check_choice(effective["estimator"], tuple(ESTIMATORS), "--estimator")
-    normalize = _check_choice(effective["normalize"], NORMALIZATION_MODES, "--normalize")
-    if not effective["ensemble"]:
+def _cmd_score(effective: dict) -> int:
+    if effective["ensemble"] is None:
         raise CliError("--ensemble: path to a sample-dump CSV is required")
-    if not effective["obs"]:
+    if effective["obs"] is None:
         raise CliError("--obs: path to a headerless observation CSV is required")
 
     started = time.perf_counter()
     ensemble = _read_ensemble_csv(effective["ensemble"])
     obs = load_multivariate_csv(effective["obs"]).values
-    seed = None if effective["seed"] is None else _check_seed(effective)
-    try:
-        report = score_report(
-            ensemble, obs,
-            estimator=estimator, n_quantiles=int(effective["n_quantiles"]),
-            beta=float(effective["beta"]), normalization=normalize, seed=seed,
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-
     out = _out_dir(effective)
+    report = score_report(
+        ensemble, obs,
+        estimator=effective["estimator"], n_quantiles=effective["n_quantiles"],
+        beta=effective["beta"], normalization=effective["normalize"], seed=effective["seed"],
+    )
+
     _emit(
-        out, "score", dict(effective), seed, started,
+        out, "score", effective, started,
         {"score.csv": (ScoreReport.CSV_COLUMNS, [report.csv_row()])},
         {"score.json": report.to_dict()},
     )
@@ -417,8 +380,78 @@ def _cmd_score(args: argparse.Namespace) -> int:
 
 
 # --------------------------------------------------------------------------
-# parser
+# options and parser
 # --------------------------------------------------------------------------
+
+_SEED = (_seed, 0, "master random seed")
+_ESTIMATOR = (_Choice(ESTIMATORS), "quantile", "univariate CRPS estimator")
+_N_QUANTILES = (_integer, 20, "quantile count of the quantile estimator")
+
+
+def _evaluation(out: str, noise: dict, extra: dict) -> dict:
+    """The options of the dummy-forecaster commands, in config-echo order."""
+    return {
+        "seed": _SEED,
+        "data": (_path, None, "path to the exchange-rate CSV (required)"),
+        "kind": (_Choice(("uni", "multi", *forecasters.DUMMY_KINDS),
+                         {"uni": "univariate", "multi": "multivariate"}),
+                 "multi", "dummy forecaster kind"),
+        **noise,
+        "samples": (_integer, 400, "ensemble size"),
+        "estimator": _ESTIMATOR,
+        "n_quantiles": _N_QUANTILES,
+        "normalize": (_Choice(NORMALIZATION_MODES), "target", "score normalization"),
+        "batches": (_integer, 5, "number of tail splits"),
+        "horizon": (_integer, 30, "steps per split"),
+        "input_length": (_integer, 30, "conditioning rows per split"),
+        "out": (_path, out, "output directory"),
+        **extra,
+    }
+
+
+# command -> (handler, help, options in config-echo order); an option is
+# (converter, default, help), and its flag is its name with "-" for "_".
+COMMANDS = {
+    "convergence": (_cmd_convergence, "CRPS estimator convergence benchmark", {
+        "seed": _SEED,
+        "sizes": (_numbers(_integer), simulation.DEFAULT_SAMPLE_SIZES,
+                  "comma-separated sample sizes"),
+        "n_quantiles": (_numbers(_integer), (20,),
+                        "comma-separated quantile counts for the quantile estimator"),
+        "repeats": (_integer, 50, "seeds per configuration"),
+        "out": (_path, "runs/convergence", "output directory"),
+    }),
+    "sensitivity": (_cmd_sensitivity, "correlation sensitivity grid", {
+        "seed": _SEED,
+        "scale": (_Choice(tuple(simulation.SCALES)), "desk",
+                  "experiment scale: desk=2^12x2^7, paper=2^14x2^9"),
+        "n_windows": (_integer, None, "override the scale's experiments per cell"),
+        "window_size": (_integer, None, "override the scale's ensemble size per experiment"),
+        "n_quantiles": _N_QUANTILES,
+        "out": (_path, "runs/sensitivity", "output directory"),
+    }),
+    "exchange-eval": (_cmd_exchange_eval, "dummy-forecaster audit on exchange rates", _evaluation(
+        "runs/exchange-eval",
+        {"sigma": (_real, 1e-4, "noise scale")},
+        {"dump_samples": (_switch, False, "also write per-split ensemble sample dumps")},
+    )),
+    "sigma-sweep": (_cmd_sigma_sweep, "dummy scores across noise scales", _evaluation(
+        "runs/sigma-sweep",
+        {},
+        {"sigmas": (_numbers(_real), forecasters.DEFAULT_SIGMA_LIST, "comma-separated noise scales")},
+    )),
+    "score": (_cmd_score, "score a stored ensemble against observations", {
+        "seed": (_seed, None, "seed recorded in the report"),
+        "ensemble": (_path, None, "sample-dump CSV (sample_id,t,dim,value)"),
+        "obs": (_path, None, "headerless observation CSV (one row per step)"),
+        "estimator": _ESTIMATOR,
+        "n_quantiles": _N_QUANTILES,
+        "normalize": (_Choice(NORMALIZATION_MODES), "raw", "score normalization"),
+        "beta": (_real, 1.0, "energy score exponent in (0,2)"),
+        "out": (_path, "runs/score", "output directory"),
+    }),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -430,85 +463,27 @@ def build_parser() -> argparse.ArgumentParser:
         version=f"%(prog)s {__version__} (git describe: {reporting.artifact_version()})",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--config", help="JSON file with option overrides")
-        p.add_argument("--seed", type=int, help="master random seed (default 0)")
-        p.add_argument("--out", help="output directory")
-
-    p = sub.add_parser("convergence", help="CRPS estimator convergence benchmark")
-    add_common(p)
-    p.add_argument("--sizes", help="comma-separated sample sizes (default 200,...,5000)")
-    p.add_argument("--n-quantiles", dest="n_quantiles",
-                   help="comma-separated quantile counts for the quantile estimator")
-    p.add_argument("--repeats", type=int, help="seeds per configuration (default 50)")
-    p.set_defaults(func=_cmd_convergence)
-
-    p = sub.add_parser("sensitivity", help="correlation sensitivity grid")
-    add_common(p)
-    p.add_argument("--scale", choices=tuple(simulation.SCALES),
-                   help="experiment scale: desk=2^12x2^7, paper=2^14x2^9")
-    p.add_argument("--n-windows", dest="n_windows", type=int,
-                   help="override experiments per cell")
-    p.add_argument("--window-size", dest="window_size", type=int,
-                   help="override ensemble size per experiment")
-    p.add_argument("--n-quantiles", dest="n_quantiles", type=int,
-                   help="quantile count for CRPS-Sum (default 20)")
-    p.set_defaults(func=_cmd_sensitivity)
-
-    def add_eval_options(p, with_sigma: bool):
-        p.add_argument("--data", help="path to the exchange-rate CSV (required)")
-        p.add_argument("--kind", choices=tuple(KIND_ALIASES) + forecasters.DUMMY_KINDS,
-                       help="dummy forecaster kind (default multi)")
-        if with_sigma:
-            p.add_argument("--sigma", type=float, help="noise scale (default 1e-4)")
-        p.add_argument("--samples", type=int, help="ensemble size (default 400)")
-        p.add_argument("--estimator", choices=tuple(ESTIMATORS),
-                       help="univariate CRPS estimator (default quantile)")
-        p.add_argument("--n-quantiles", dest="n_quantiles", type=int,
-                       help="quantile count (default 20)")
-        p.add_argument("--normalize", choices=NORMALIZATION_MODES,
-                       help="score normalization (default target)")
-        p.add_argument("--batches", type=int, help="number of tail splits (default 5)")
-        p.add_argument("--horizon", type=int, help="steps per split (default 30)")
-        p.add_argument("--input-length", dest="input_length", type=int,
-                       help="conditioning rows per split (default 30)")
-
-    p = sub.add_parser("exchange-eval", help="dummy-forecaster audit on exchange rates")
-    add_common(p)
-    add_eval_options(p, with_sigma=True)
-    p.add_argument("--dump-samples", dest="dump_samples", action="store_const", const=True,
-                   help="also write per-split ensemble sample dumps")
-    p.set_defaults(func=_cmd_exchange_eval)
-
-    p = sub.add_parser("sigma-sweep", help="dummy scores across noise scales")
-    add_common(p)
-    add_eval_options(p, with_sigma=False)
-    p.add_argument("--sigmas", help="comma-separated noise scales (default 1e-1..1e-20)")
-    p.set_defaults(func=_cmd_sigma_sweep)
-
-    p = sub.add_parser("score", help="score a stored ensemble against observations")
-    add_common(p)
-    p.add_argument("--ensemble", help="sample-dump CSV (sample_id,t,dim,value)")
-    p.add_argument("--obs", help="headerless observation CSV (one row per step)")
-    p.add_argument("--estimator", choices=tuple(ESTIMATORS))
-    p.add_argument("--n-quantiles", dest="n_quantiles", type=int)
-    p.add_argument("--normalize", choices=NORMALIZATION_MODES)
-    p.add_argument("--beta", type=float, help="energy score exponent in (0,2)")
-    p.set_defaults(func=_cmd_score)
-
+    for command, (_, summary, options) in COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        p.add_argument("--config", help="JSON file of option values by name; flags win")
+        for name, (convert, default, text) in options.items():
+            if convert is _switch:
+                p.add_argument(_flag(name), dest=name, action="store_const", const=True, help=text)
+                continue
+            if default is not None:
+                shown = ",".join(map(str, default)) if isinstance(default, tuple) else default
+                text = f"{text} (default {shown})"
+            choices = convert.choices if isinstance(convert, _Choice) else None
+            p.add_argument(_flag(name), dest=name, choices=choices, help=text)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    handler, _, options = COMMANDS[args.command]
     try:
-        return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, FileNotFoundError) as exc:
+        return handler(_effective(options, args))
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

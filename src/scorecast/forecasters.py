@@ -224,18 +224,20 @@ def sigma_sweep(
     """Pooled dummy-forecast scores for each noise scale in sigma_list.
 
     Every sigma reuses the same per-split random streams, so score
-    differences across the sweep reflect the noise scale alone.
+    differences across the sweep reflect the noise scale alone.  Every
+    sigma is checked before the first one is scored.
     """
+    configs = [DummyConfig(kind=kind, sigma=sigma, n_samples=n_samples, seed=seed)
+               for sigma in sigma_list]
     rows = []
-    for sigma in sigma_list:
-        cfg = DummyConfig(kind=kind, sigma=float(sigma), n_samples=n_samples, seed=seed)
+    for cfg in configs:
         _, pooled = evaluate_dummy_on_splits(
             splits, cfg, estimator=estimator, n_quantiles=n_quantiles,
             beta=beta, normalization=normalization,
         )
         rows.append(
             SigmaSweepRow(
-                sigma=float(sigma),
+                sigma=cfg.sigma,
                 crps_sum=pooled.crps_sum,
                 crps=pooled.crps_aggregate,
                 es=pooled.energy_score,

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import scorecast
-from scorecast import __version__, _rowloop, forecasters
-from scorecast.cli import _bulk_ensemble, _read_ensemble_csv, main
+from scorecast import __version__, _rowloop, forecasters, simulation
+from scorecast.cli import COMMANDS, _bulk_ensemble, _read_ensemble_csv, build_parser, main
 from scorecast.data import MultivariateSeries
 from scorecast.forecasters import ensemble_to_csv
 from scorecast.multivariate import score_report
@@ -99,6 +99,137 @@ def test_empty_number_list_rejected(tmp_path, synthetic_series_file, capsys, com
     assert main([command, *data, flag, text, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {flag}: expected at least one number\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, config, flag, message", [
+    ("exchange-eval", {"samples": None}, None, "--samples: expected an integer, got 'null'"),
+    ("convergence", {"repeats": "x"}, "x", "--repeats: expected an integer, got 'x'"),
+    ("convergence", {"sizes": [None]}, "null", "--sizes: expected an integer, got 'null'"),
+    ("exchange-eval", {"batches": 2.7}, "2.7", "--batches: expected an integer, got '2.7'"),
+    ("exchange-eval", {"samples": True}, "true", "--samples: expected an integer, got 'true'"),
+    ("exchange-eval", {"dump_samples": "false"}, None,
+     '--dump-samples: expected true or false, got "false"'),
+    ("sigma-sweep", {"kind": None}, None,
+     "--kind: invalid choice 'null' (choose from uni, multi, univariate, multivariate)"),
+])
+def test_bad_config_value_names_its_flag(tmp_path, synthetic_series_file, capsys,
+                                         command, config, flag, message):
+    """A config value is rejected as the same value given as its flag is:
+    one error line naming the flag, exit 2, and no --out directory."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    data = [] if command == "convergence" else ["--data", str(synthetic_series_file)]
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), *data, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    if flag is not None:
+        (name,) = config
+        argv = [command, *data, "--" + name.replace("_", "-"), flag, "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def _every_option(data, ensemble, obs):
+    """Each command's options but --out, as typed JSON values."""
+    evaluation = {"seed": 3, "data": str(data), "kind": "uni", "samples": 30,
+                  "estimator": "ecdf", "n_quantiles": 7, "normalize": "raw",
+                  "batches": 2, "horizon": 30, "input_length": 30}
+    return {
+        "convergence": {"seed": 1, "sizes": [40, 60], "n_quantiles": [5, 10], "repeats": 3},
+        "sensitivity": {"seed": 2, "scale": "paper", "n_windows": 8, "window_size": 4,
+                        "n_quantiles": 10},
+        "exchange-eval": {**evaluation, "sigma": 0.001, "dump_samples": True},
+        "sigma-sweep": {**evaluation, "sigmas": [0.01, 1e-20]},
+        "score": {"seed": 4, "ensemble": str(ensemble), "obs": str(obs), "estimator": "sample",
+                  "n_quantiles": 7, "normalize": "target", "beta": 1.5},
+    }
+
+
+def test_config_file_matches_flags(tmp_path, synthetic_series_file, stored_case):
+    """Every option of each command, once as flags and once as typed JSON
+    (keys written with "-"), writes the same report bytes into the same --out."""
+    _, _, ens_path, obs_path = stored_case
+    for command, options in _every_option(synthetic_series_file, ens_path, obs_path).items():
+        assert set(options) | {"out"} == set(COMMANDS[command][2]), command
+        out = tmp_path / command
+        flags = []
+        for name, value in options.items():
+            flags.append("--" + name.replace("_", "-"))
+            if isinstance(value, list):
+                flags.append(",".join(map(str, value)))
+            elif value is not True:
+                flags.append(str(value))
+        run_ok([command, *flags, "--out", str(out)])
+        from_flags = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "run_manifest.json"}
+        shutil.rmtree(out)
+        cfg = tmp_path / f"{command}.json"
+        cfg.write_text(json.dumps({name.replace("_", "-"): value
+                                   for name, value in {**options, "out": str(out)}.items()}))
+        run_ok([command, "--config", str(cfg)])
+        from_config = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "run_manifest.json"}
+        assert from_config == from_flags, command
+
+
+def test_config_values_are_echoed_converted(tmp_path, stored_case):
+    """A number written as a string is echoed as the number; a null seed,
+    whose default is null, means "not given"."""
+    _, _, ens_path, obs_path = stored_case
+    for given, echoed in (("5", 5), (None, None)):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": given, "beta": "1.5"}))
+        out = tmp_path / "score"
+        run_ok(["score", "--config", str(cfg), "--ensemble", str(ens_path),
+                "--obs", str(obs_path), "--out", str(out)])
+        doc = json.loads((out / "score.json").read_text())
+        assert doc["config"]["seed"] == echoed and doc["seed"] == echoed
+        assert doc["config"]["beta"] == 1.5
+
+
+def test_help_shows_each_default():
+    subcommands = next(a for a in build_parser()._actions if a.dest == "command").choices
+    for command, (_, _, options) in COMMANDS.items():
+        helps = {a.dest: a.help for a in subcommands[command]._actions}
+        for name, (_, default, _) in options.items():
+            shown = default is not None and default is not False
+            assert ("(default " in helps[name]) == shown, (command, name)
+
+
+@pytest.mark.parametrize("flag", ["--config", "--data", "--ensemble", "--obs", "--out"])
+def test_bad_path_is_an_error_line(tmp_path, stored_case, synthetic_series_file, capsys,
+                                   monkeypatch, flag):
+    """A directory where a file is read, or a file where --out goes, exits 2
+    with one error line; --out is checked before the study runs."""
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the study ran before --out was created")
+
+    monkeypatch.setattr(simulation, "run_sensitivity_grid", unreachable)
+    _, _, ens_path, obs_path = stored_case
+    directory, a_file = tmp_path / "a_directory", tmp_path / "a_file"
+    directory.mkdir()
+    a_file.write_text("")
+    out = tmp_path / "out"
+    argv = {
+        "--config": ["convergence", "--config", str(directory), "--out", str(out)],
+        "--data": ["exchange-eval", "--data", str(directory), "--out", str(out)],
+        "--ensemble": ["score", "--ensemble", str(directory), "--obs", str(obs_path),
+                       "--out", str(out)],
+        "--obs": ["score", "--ensemble", str(ens_path), "--obs", str(directory),
+                  "--out", str(out)],
+        "--out": ["sensitivity", "--n-windows", "4", "--window-size", "4", "--out", str(a_file)],
+    }[flag]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(a_file if flag == "--out" else directory) in err
+    assert not out.exists()
+
+
+def test_config_outside_utf8_is_named(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b'\xff{"seed": 1}')
+    assert main(["convergence", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: --config: {cfg}: byte 0xff is not UTF-8\n"
 
 
 # ---------------------------------------------------------------------------

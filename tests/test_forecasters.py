@@ -225,3 +225,13 @@ def test_sigma_sweep_scores_stabilize_for_small_noise(splits):
 def test_sigma_sweep_univariate_kind(splits):
     rows = sigma_sweep("univariate", [1e-4], splits, n_samples=30, seed=1)
     assert len(rows) == 1 and rows[0].crps > 0
+
+
+def test_sigma_sweep_checks_every_sigma_before_scoring(splits, monkeypatch):
+    """A bad sigma late in the list is rejected before the first one is scored."""
+    def unreachable(*args, **kwargs):
+        raise AssertionError("scored before checking every sigma")
+
+    monkeypatch.setattr(multivariate, "_energy_batch", unreachable)
+    with pytest.raises(ValueError, match="sigma must be finite"):
+        sigma_sweep("multivariate", [0.1, 0.01, float("nan")], splits, n_samples=8)

@@ -150,6 +150,14 @@ def _effective(options: dict, args: argparse.Namespace) -> dict:
     return effective
 
 
+def _read(flag: str, read, path):
+    """``read(path)``; an OSError, such as a directory given as a file, names the flag."""
+    try:
+        return read(path)
+    except OSError as exc:
+        raise CliError(f"{flag}: {exc}") from None
+
+
 def _out_dir(effective: dict) -> Path:
     out = Path(effective["out"])
     try:
@@ -166,13 +174,15 @@ def _emit(
     started: float,
     tables: dict[str, tuple[Sequence[str], Sequence[Sequence]]],
     documents: dict[str, dict],
+    facts: Optional[dict] = None,
 ) -> float:
     """Write a run's CSV tables and JSON documents, then its manifest; the
     run's seed is the config echo's.
 
     ``tables`` maps file names to (columns, rows), ``documents`` maps file
-    names to JSON payloads.  Returns the wall time since ``started``, taken
-    after the reports are written and recorded in the manifest.
+    names to JSON payloads, ``facts`` holds measurements for the manifest
+    alone.  Returns the wall time since ``started``, taken after the reports
+    are written and recorded in the manifest.
     """
     seed = config_echo["seed"]
     for name, (columns, rows) in tables.items():
@@ -180,7 +190,7 @@ def _emit(
     for name, payload in documents.items():
         reporting.write_json(out / name, payload, config=config_echo)
     wall = time.perf_counter() - started
-    reporting.write_manifest(out / "run_manifest.json", command, config_echo, seed, wall)
+    reporting.write_manifest(out / "run_manifest.json", command, config_echo, seed, wall, facts)
     return wall
 
 
@@ -216,13 +226,14 @@ def _cmd_sensitivity(effective: dict) -> int:
     config = simulation.SensitivityConfig(**{k: v for k, v in effective.items() if k != "out"})
     started = time.perf_counter()
     out = _out_dir(effective)
-    report = simulation.run_sensitivity_grid(config)
+    report, facts = simulation._run_grid(config)
 
     config_echo = asdict(config) | {"out": effective["out"]}
     wall = _emit(
         out, "sensitivity", config_echo, started,
         {"sensitivity.csv": reporting.table(simulation.GridCell, report.cells)},
         {"sensitivity.json": asdict(report)},
+        facts,
     )
 
     print(
@@ -235,7 +246,7 @@ def _cmd_sensitivity(effective: dict) -> int:
 def _load_splits(effective: dict):
     if effective["data"] is None:
         raise CliError("--data: path to the exchange-rate CSV is required")
-    series = load_exchange_rate(effective["data"])
+    series = _read("--data", load_exchange_rate, effective["data"])
     return series, make_rolling_splits(
         series,
         n_batches=effective["batches"],
@@ -341,7 +352,7 @@ def _read_ensemble_csv(path: str) -> np.ndarray:
     p = Path(path)
     if not p.exists():
         raise CliError(f"--ensemble: file not found: {p}")
-    ensemble = _bulk_ensemble(p.read_bytes())
+    ensemble = _bulk_ensemble(_read("--ensemble", Path.read_bytes, p))
     if ensemble is None:
         try:
             ensemble = dump_rows(p)
@@ -358,7 +369,7 @@ def _cmd_score(effective: dict) -> int:
 
     started = time.perf_counter()
     ensemble = _read_ensemble_csv(effective["ensemble"])
-    obs = load_multivariate_csv(effective["obs"]).values
+    obs = _read("--obs", load_multivariate_csv, effective["obs"]).values
     out = _out_dir(effective)
     report = score_report(
         ensemble, obs,
@@ -481,9 +492,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     handler, _, options = COMMANDS[args.command]
+    made: list[Path] = []  # the --out directories this run would create, deepest first
     try:
-        return handler(_effective(options, args))
+        effective = _effective(options, args)
+        out = Path(effective["out"])
+        made = [d for d in (out, *out.parents) if not d.exists()]
+        return handler(effective)
     except (CliError, ValueError, OSError) as exc:
+        for directory in made:  # leave nothing behind that this run made and left empty
+            try:
+                directory.rmdir()
+            except OSError:
+                break
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,12 +8,18 @@ the package version, never the checkout they ran from; volatile run facts
 from __future__ import annotations
 
 import json
+import os
+import platform
+import resource
 import subprocess
+import sys
 import time
 from dataclasses import astuple, fields
 from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
+
+import numpy as np
 
 from . import __version__
 
@@ -111,18 +117,27 @@ def write_json(path: Union[str, Path], payload: dict, config: Optional[dict] = N
     )
 
 
+def _peak_rss_mb(who: int) -> float:
+    """Peak resident set size of this process or of its largest reaped child."""
+    kib = resource.getrusage(who).ru_maxrss / (1024.0 if sys.platform == "darwin" else 1.0)
+    return round(kib / 1024.0, 1)
+
+
 def write_manifest(
     path: Union[str, Path],
     command: str,
     config: dict,
     seed: Optional[int],
     wall_time_s: float,
+    facts: Optional[dict] = None,
 ) -> None:
-    """Run manifest: config echo, seed, versions, wall time and a timestamp.
+    """Run manifest: config echo, seed, versions, wall time, the run's
+    ``facts`` (measurements a command adds), peak memory, the interpreter,
+    numpy and CPU count, and a timestamp.
 
-    The timestamp, wall time and ``git describe`` of the checkout make this
-    the one non-reproducible report file; determinism comparisons should
-    exclude it.
+    The timestamp, wall time, measurements and ``git describe`` of the
+    checkout make this the one non-reproducible report file; determinism
+    comparisons should exclude it.
     """
     payload = {
         "command": command,
@@ -131,6 +146,12 @@ def write_manifest(
         "seed": seed,
         "config": _sanitize(config),
         "wall_time_s": round(wall_time_s, 3),
+        **(facts or {}),
+        "peak_rss_mb_self": _peak_rss_mb(resource.RUSAGE_SELF),
+        "peak_rss_mb_children": _peak_rss_mb(resource.RUSAGE_CHILDREN),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "cpu_count": os.cpu_count(),
         "timestamp_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
     Path(path).write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n", encoding="utf-8")

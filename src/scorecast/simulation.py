@@ -5,11 +5,14 @@ convergence benchmark.
 All randomness flows through numpy Generators derived from explicit seeds;
 every grid cell and every study configuration gets its own independent
 stream (via SeedSequence spawn keys), so results are reproducible and do not
-depend on execution order.
+depend on execution order.  That lets the grid run its cells over worker
+processes with the same results for any worker count.
 """
 from __future__ import annotations
 
 import math
+import os
+import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
@@ -288,25 +291,48 @@ def _delta(mean: float, ref: float) -> float:
     return relative_change(mean, ref) if ref > 0.0 else float("nan")
 
 
-def run_sensitivity_grid(config: SensitivityConfig) -> SensitivityGridReport:
-    """Run every (rho, varrho) cell and attach relative changes.
+def _workers(n_cells: int) -> int:
+    """One worker process per CPU this process may run on, at most one per
+    cell; one where the platform does not tell the CPUs apart."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    return min(cpus, n_cells)
 
-    The reference for each data correlation rho is its matched-model cell
-    varrho == rho (the last such column).  The relative change of the
-    reference cell itself is 0 by construction; when a reference mean is
-    not strictly positive (a degenerate summed signal at rho == -1 has
-    CRPS-Sum exactly 0) the relative change is reported as NaN.
-    """
+
+def _timed_cell(task: tuple[SensitivityConfig, int, int]) -> tuple[CellScores, float]:
+    """Cell (i, j) of the grid and the seconds it took, in whichever process runs it."""
+    config, i, j = task
+    started = time.perf_counter()
+    cell = run_sensitivity_cell(
+        config.rho_list[i], config.varrho_list[j], config.n_windows, config.window_size,
+        seed=_cell_seed(config.seed, i, j),
+        n_quantiles=config.n_quantiles, beta=config.beta,
+    )
+    return cell, time.perf_counter() - started
+
+
+def _run_grid(config: SensitivityConfig) -> tuple[SensitivityGridReport, dict]:
+    """``run_sensitivity_grid``, plus the run's facts for the manifest: the
+    worker count and the min, median and max seconds of a cell."""
+    tasks = [(config, i, j)
+             for i in range(len(config.rho_list)) for j in range(len(config.varrho_list))]
+    workers = _workers(len(tasks))
+    if workers == 1:
+        timed = list(map(_timed_cell, tasks))
+    else:
+        # Imported here, not with the module: the CLI's start-up never needs it.
+        import multiprocessing
+
+        # chunksize=1: a worker whose parent died exits after its current cell.
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
+            timed = pool.map(_timed_cell, tasks, chunksize=1)
+            pool.close()
+            pool.join()
+    scores, seconds = zip(*timed)
+
     report = SensitivityGridReport(config=config)
+    n_cols = len(config.varrho_list)
     for i, rho in enumerate(config.rho_list):
-        cells = [
-            run_sensitivity_cell(
-                rho, varrho, config.n_windows, config.window_size,
-                seed=_cell_seed(config.seed, i, j),
-                n_quantiles=config.n_quantiles, beta=config.beta,
-            )
-            for j, varrho in enumerate(config.varrho_list)
-        ]
+        cells = scores[i * n_cols:(i + 1) * n_cols]
         ref_j = np.flatnonzero(np.isclose(config.varrho_list, rho, atol=1e-9))[-1]
         ref = cells[ref_j]
         report.cells += [
@@ -327,7 +353,27 @@ def run_sensitivity_grid(config: SensitivityConfig) -> SensitivityGridReport:
             )
             for j, cell in enumerate(cells)
         ]
-    return report
+    facts = {
+        "workers": workers,
+        "cell_s": {"min": round(min(seconds), 4),
+                   "median": round(float(np.median(seconds)), 4),
+                   "max": round(max(seconds), 4)},
+    }
+    return report, facts
+
+
+def run_sensitivity_grid(config: SensitivityConfig) -> SensitivityGridReport:
+    """Run every (rho, varrho) cell and attach relative changes.
+
+    The cells run over one forked worker process per CPU (in this process
+    when that is one), each on its own stream, so the report is the same for
+    any worker count.  The reference for each data correlation rho is its
+    matched-model cell varrho == rho (the last such column).  The relative
+    change of the reference cell itself is 0 by construction; when a
+    reference mean is not strictly positive (a degenerate summed signal at
+    rho == -1 has CRPS-Sum exactly 0) the relative change is reported as NaN.
+    """
+    return _run_grid(config)[0]
 
 
 # --------------------------------------------------------------------------

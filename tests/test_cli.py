@@ -199,11 +199,12 @@ def test_help_shows_each_default():
 def test_bad_path_is_an_error_line(tmp_path, stored_case, synthetic_series_file, capsys,
                                    monkeypatch, flag):
     """A directory where a file is read, or a file where --out goes, exits 2
-    with one error line; --out is checked before the study runs."""
+    with one error line that names the flag; --out is checked before the
+    study runs."""
     def unreachable(*args, **kwargs):
         raise AssertionError("the study ran before --out was created")
 
-    monkeypatch.setattr(simulation, "run_sensitivity_grid", unreachable)
+    monkeypatch.setattr(simulation, "_run_grid", unreachable)
     _, _, ens_path, obs_path = stored_case
     directory, a_file = tmp_path / "a_directory", tmp_path / "a_file"
     directory.mkdir()
@@ -220,9 +221,32 @@ def test_bad_path_is_an_error_line(tmp_path, stored_case, synthetic_series_file,
     }[flag]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith(f"error: {flag}: ") and err.count("\n") == 1
     assert str(a_file if flag == "--out" else directory) in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["convergence", "score", "exchange-eval"])
+def test_a_rejected_run_leaves_no_out_it_made(tmp_path, stored_case, synthetic_series_file,
+                                              capsys, command):
+    """Arguments that only the library rejects exit 2 after --out is made;
+    the run removes the directories it made and left empty, and only those."""
+    _, _, ens_path, obs_path = stored_case
+    argv = {
+        "convergence": ["convergence", "--repeats", "1", "--sizes", "20"],
+        "score": ["score", "--beta", "3", "--ensemble", str(ens_path), "--obs", str(obs_path)],
+        "exchange-eval": ["exchange-eval", "--n-quantiles", "0",
+                          "--data", str(synthetic_series_file)],
+    }[command]
+    made = tmp_path / "made"
+    assert main([*argv, "--out", str(made / "out")]) == 2
+    assert not made.exists()
+    existing = tmp_path / "existing"
+    existing.mkdir()
+    assert main([*argv, "--out", str(existing)]) == 2
+    assert existing.is_dir()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 2 and err.startswith("error: ")
 
 
 def test_config_outside_utf8_is_named(tmp_path, capsys):
@@ -254,6 +278,11 @@ def test_sensitivity_tiny_grid(tmp_path):
     assert {r[0] for r in nan_rows} == {"-1.0"}
     doc = json.loads((out / "sensitivity.json").read_text())
     assert doc["config"]["n_windows"] == 24
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["workers"] == simulation._workers(11 * 21)
+    cell_s = manifest["cell_s"]
+    assert list(cell_s) == ["min", "median", "max"]
+    assert 0 <= cell_s["min"] <= cell_s["median"] <= cell_s["max"] <= manifest["wall_time_s"]
     # NaNs must be legal-JSON null, not bare NaN tokens
     assert "NaN" not in (out / "sensitivity.json").read_text()
 

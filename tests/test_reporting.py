@@ -1,8 +1,11 @@
 """Deterministic CSV/JSON emitters."""
 import json
+import os
+import platform
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from scorecast import __version__
@@ -99,7 +102,8 @@ def test_write_json_sanitizes_non_finite(tmp_path):
 
 def test_write_manifest_fields(tmp_path):
     path = tmp_path / "m.json"
-    write_manifest(path, "convergence", {"repeats": 5, "bad": float("nan")}, 7, 1.23456)
+    write_manifest(path, "convergence", {"repeats": 5, "bad": float("nan")}, 7, 1.23456,
+                   {"workers": 2})
     doc = json.loads(path.read_text())
     assert list(doc)[:3] == ["command", "version", "git_describe"]
     assert doc["command"] == "convergence"
@@ -109,6 +113,12 @@ def test_write_manifest_fields(tmp_path):
     assert doc["config"]["repeats"] == 5
     assert doc["config"]["bad"] is None
     assert doc["wall_time_s"] == 1.235
+    assert doc["workers"] == 2
+    assert doc["peak_rss_mb_self"] > 10.0  # an interpreter with numpy loaded
+    assert doc["peak_rss_mb_children"] >= 0.0
+    assert doc["python"] == platform.python_version()
+    assert doc["numpy"] == np.__version__
+    assert doc["cpu_count"] == os.cpu_count()
     assert "timestamp_utc" in doc
 
 

@@ -1,9 +1,15 @@
 """Correlated sampling, the sensitivity grid, and the convergence study."""
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from scorecast import simulation
+from scorecast.cli import main
 from scorecast.reporting import table
 from scorecast.simulation import (
     DEFAULT_RHO_GRID,
@@ -212,6 +218,64 @@ def test_grid_deterministic(micro_grid):
     again = run_sensitivity_grid(cfg)
     # rows contain NaN deltas, so compare with NaN-tolerant equality
     np.testing.assert_equal(table(GridCell, rep.cells), table(GridCell, again.cells))
+
+
+def test_grid_is_the_same_for_any_worker_count(micro_grid, monkeypatch, tmp_path):
+    """The cells, and the CLI's report bytes, are the same in one process and
+    over worker processes, also more workers than CPUs; none outlives the grid."""
+    cfg, _ = micro_grid
+    cells, reports = {}, {}
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(simulation, "_workers", lambda n_cells, w=workers: w)
+        report, facts = simulation._run_grid(cfg)
+        assert facts["workers"] == workers
+        assert multiprocessing.active_children() == []
+        cells[workers] = repr(report.cells)  # shortest round-trip floats: bit for bit
+        # One --out for every run: the reports echo it.
+        assert main(["sensitivity", "--n-windows", "6", "--window-size", "5",
+                     "--seed", "3", "--out", str(tmp_path)]) == 0
+        reports[workers] = {name: (tmp_path / name).read_bytes()
+                            for name in ("sensitivity.csv", "sensitivity.json")}
+        assert multiprocessing.active_children() == []
+    assert cells[1] == cells[2] == cells[3]
+    assert reports[1] == reports[2] == reports[3]
+
+
+def test_one_cell_grid_starts_no_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started for one cell")
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+    cfg = SensitivityConfig(rho_list=(0.0,), varrho_list=(0.0,), n_windows=16, window_size=8)
+    report, facts = simulation._run_grid(cfg)
+    assert facts["workers"] == 1
+    assert len(report.cells) == 1
+
+
+def test_a_cell_error_in_a_worker_reaches_the_caller(micro_grid, monkeypatch):
+    cfg, _ = micro_grid
+    real = simulation.run_sensitivity_cell
+
+    def failing(rho, varrho, *args, **kwargs):
+        if (rho, varrho) == (0.5, 0.0):
+            raise ValueError(f"cell failed in process {os.getpid()}")
+        return real(rho, varrho, *args, **kwargs)
+
+    monkeypatch.setattr(simulation, "run_sensitivity_cell", failing)
+    monkeypatch.setattr(simulation, "_workers", lambda n_cells: 2)
+    with pytest.raises(ValueError, match="cell failed in process") as info:
+        run_sensitivity_grid(cfg)
+    assert int(str(info.value).rsplit(" ", 1)[1]) != os.getpid()  # raised in a worker
+    assert multiprocessing.active_children() == []
+
+
+def test_cli_start_up_does_not_import_multiprocessing():
+    """The pool's module is imported where the pool is made, so the CLI's
+    start-up does not pay for it."""
+    code = "import sys, scorecast.cli; print('multiprocessing' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_grid_rows_match_csv_columns(micro_grid):

@@ -8,9 +8,12 @@ against a scalar observation x is
 This module provides three sample-based estimators of that integral
 (empirical-CDF step integration, quantile/pinball approximation, and the
 expectation form E|X - x| - 0.5 E|X - X'|) plus the closed form for a
-Gaussian predictive distribution.  Each estimator is one batched kernel that
-scores along the last axis of any batch shape; the public functions are
-validated scalar wrappers around them.
+Gaussian predictive distribution.  The step integral and the expectation
+form with S^2 pair normalization are one functional, the CRPS of the
+samples' empirical distribution, so they share one batched kernel; the
+quantile estimator has the other.  Both kernels score along the last axis of
+any batch shape; the public functions are validated scalar wrappers around
+them.
 """
 from __future__ import annotations
 
@@ -98,27 +101,6 @@ def _nonnegative(scores: NDArray[np.float64]) -> NDArray[np.float64]:
 # so each batch entry scores bit-for-bit as it would alone.
 # --------------------------------------------------------------------------
 
-def _ecdf(samples: NDArray[np.float64], obs: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Exact empirical-CDF CRPS of every batch entry."""
-    n = samples.shape[-1]
-    x = np.expand_dims(obs, -1)
-    points = np.sort(np.concatenate([np.sort(samples, axis=-1), x], axis=-1), axis=-1)
-    gaps = np.diff(points, axis=-1, append=np.inf)
-    widths = gaps[..., :-1]
-    # Evaluate both step functions at interval midpoints: the integrand is
-    # constant on each open interval between consecutive points.
-    mids = 0.5 * (points[..., :-1] + points[..., 1:])
-    obs_step = (mids >= x).astype(np.float64)
-    # Points <= the midpoint of interval k: k + 1, unless the midpoint rounds
-    # up onto the interval's right end (adjacent floats), where they run to
-    # the last tie of that end.  Samples <= it: that count less obs_step.
-    k = np.arange(n + 1)
-    last_tie = np.minimum.accumulate(np.where(gaps != 0.0, k, n)[..., ::-1], axis=-1)[..., ::-1]
-    points_le = np.where(mids < points[..., 1:], k[:-1] + 1, last_tie[..., 1:] + 1)
-    cdf = (points_le - obs_step) / n
-    return np.sum((cdf - obs_step) ** 2 * widths, axis=-1)
-
-
 def _quantile(
     samples: NDArray[np.float64], obs: NDArray[np.float64], n_quantiles: int
 ) -> NDArray[np.float64]:
@@ -134,14 +116,19 @@ def _quantile(
 def _sample(
     samples: NDArray[np.float64], obs: NDArray[np.float64], unbiased: bool = False
 ) -> NDArray[np.float64]:
-    """Expectation-form CRPS of every batch entry; NaN stays NaN."""
-    s = np.sort(samples, axis=-1)
-    n = s.shape[-1]
-    term_obs = np.abs(s - np.expand_dims(obs, -1)).mean(axis=-1)
-    ranks = np.arange(1, n + 1, dtype=np.float64)
-    pair_sum = 2.0 * np.sum((2.0 * ranks - n - 1.0) * s, axis=-1)
-    denom = n * (n - 1) if unbiased else n * n
-    return _nonnegative(term_obs - pair_sum / (2.0 * denom))
+    """CRPS of the empirical distribution of every batch entry; NaN stays NaN.
+
+    With d the sorted deviations s_i - x, E|X - x| is the mean of |d|, and
+    half the mean pair distance is sum_k w_k * d_(k) with the rank weights
+    w_k = (2k - S - 1) / S^2 (or / (S (S - 1)) when ``unbiased``).  Centring
+    on the observation first keeps every term on the scale of the deviations,
+    so a large common offset costs no precision, and forming the weights
+    before the products keeps them from overflowing.
+    """
+    d = np.sort(samples - np.expand_dims(obs, -1), axis=-1)
+    n = d.shape[-1]
+    weights = (2.0 * np.arange(1, n + 1) - n - 1.0) / (n * (n - 1) if unbiased else n * n)
+    return _nonnegative(np.abs(d).mean(axis=-1) - (weights * d).sum(axis=-1))
 
 
 def _crps_batch(
@@ -150,7 +137,7 @@ def _crps_batch(
     """CRPS of every batch entry with the estimator named in ``ESTIMATORS``."""
     if estimator == "quantile":
         return _quantile(samples, obs, n_quantiles)
-    return _ecdf(samples, obs) if estimator == "ecdf" else _sample(samples, obs)
+    return _sample(samples, obs)
 
 
 def crps_empirical_cdf(samples: ArrayLike, x: float) -> float:
@@ -158,9 +145,10 @@ def crps_empirical_cdf(samples: ArrayLike, x: float) -> float:
 
     The empirical CDF F_hat(y) = (1/n) sum_i 1{s_i <= y} and the observation
     step 1{x <= y} are both piecewise constant, so the squared-difference
-    integral reduces to a finite sum over the intervals between consecutive
-    points of sorted(samples + [x]).  Outside that range the integrand is
-    identically zero.
+    integral is a finite sum over the intervals between consecutive points
+    of sorted(samples + [x]).  That sum equals the expectation form of
+    ``crps_sample_estimate`` with S^2 normalization, which is how it is
+    computed: the two functions return the same value bit for bit.
 
     Args:
         samples: forecast samples (length >= 2, finite).
@@ -169,7 +157,7 @@ def crps_empirical_cdf(samples: ArrayLike, x: float) -> float:
     Returns:
         Exact CRPS of the empirical distribution of the samples.
     """
-    return float(_ecdf(_as_sample_vector(samples), _check_observation(x)))
+    return float(_sample(_as_sample_vector(samples), _check_observation(x)))
 
 
 def crps_quantile(samples: ArrayLike, x: float, n_quantiles: int = 20) -> float:
@@ -202,7 +190,8 @@ def crps_sample_estimate(samples: ArrayLike, x: float, unbiased: bool = False) -
     instead.
 
     The pairwise sum is computed in O(S log S) through the sorted-sample
-    identity sum_{i,j} |s_i - s_j| = 2 * sum_k (2k - S - 1) * s_(k).
+    identity sum_{i,j} |s_i - s_j| = 2 * sum_k (2k - S - 1) * d_(k), on the
+    deviations d_i = s_i - x from the observation.
 
     Args:
         samples: forecast samples (length >= 2, finite).

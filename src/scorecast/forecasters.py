@@ -24,6 +24,7 @@ from numpy.typing import NDArray
 from .data import EvaluationSplit
 from .multivariate import (
     ScoreReport,
+    _check_beta,
     _check_estimator,
     _check_normalization,
     _report,
@@ -158,6 +159,7 @@ def forecast_and_score_splits(
         raise ValueError("no evaluation splits given")
     _check_estimator(estimator, n_quantiles)
     _check_normalization(normalization)
+    _check_beta(beta)
 
     ensembles = []
     scored = []  # (mat, cs, es, window) per split

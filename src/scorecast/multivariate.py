@@ -334,6 +334,7 @@ def score_report(
             the ensemble); not used for any computation here.
     """
     _check_normalization(normalization)
+    _check_beta(beta)
     ens = _as_ensemble(ensemble)
     window = _as_observation_window(obs, ens)
     return _report(

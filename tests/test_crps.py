@@ -95,21 +95,24 @@ def test_sample_estimate_non_negative(rng):
 
 
 def test_sample_estimate_overflow_is_nan_not_zero():
-    """The pair sum 2.4e308 overflows while E|X - x| = 6e307 does not; the
-    true score is 3e307, and a clamp of the -inf difference would give 0."""
+    """An unweighted pair sum (2.4e308) would overflow at +-6e307; the rank
+    weights are applied first, so the true 3e307 comes out (0 in the fair
+    form).  At +-1.7e308 E|X - x| itself overflows: NaN, never a clamped 0."""
+    for fn in (crps_sample_estimate, crps_empirical_cdf):
+        assert fn([-6e307, 6e307], 0.0) == 3e307
+    assert crps_sample_estimate([-6e307, 6e307], 0.0, unbiased=True) == 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         for unbiased in (False, True):
-            assert math.isnan(crps_sample_estimate([-6e307, 6e307], 0.0, unbiased))
+            assert math.isnan(crps_sample_estimate([-1.7e308, 1.7e308], 0.0, unbiased))
 
 
 def test_ecdf_equals_all_pairs_estimate(rng):
-    """The step integral and the (biased) all-pairs form are the same functional."""
+    """The step integral and the (biased) all-pairs form are the same
+    functional, computed by one kernel: equal bit for bit."""
     for _ in range(200):
         s = rng.standard_normal(rng.integers(2, 60)) * rng.uniform(0.1, 5.0)
         x = float(rng.standard_normal() * 2.0)
-        a = crps_empirical_cdf(s, x)
-        b = crps_sample_estimate(s, x)
-        assert a == pytest.approx(b, abs=1e-12)
+        assert crps_empirical_cdf(s, x) == crps_sample_estimate(s, x)
 
 
 # ---------------------------------------------------------------------------
@@ -121,8 +124,12 @@ def test_quantile_four_levels_dyadic_case_is_exact():
     assert crps_quantile([0.0, 1.0, 2.0, 3.0], 1.5, n_quantiles=4) == 0.28125
 
 
-def test_quantile_constant_ensemble_at_observation():
-    assert crps_quantile([3.3] * 10, 3.3) == 0.0
+@pytest.mark.parametrize("members", [2, 13, 400])
+@pytest.mark.parametrize("value", [3e-20, 2.5, 1e8])
+@pytest.mark.parametrize("fn", [crps_empirical_cdf, crps_quantile, crps_sample_estimate])
+def test_constant_ensemble_at_observation_scores_zero(fn, value, members):
+    """A point mass at the observation scores exactly 0, at any scale."""
+    assert fn([value] * members, value) == 0.0
 
 
 def test_quantile_matches_manual_interpolation_oracle():

@@ -4,7 +4,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from scorecast import multivariate
+from scorecast import forecasters, multivariate
 from scorecast.data import make_rolling_splits
 from scorecast.forecasters import (
     DEFAULT_SIGMA_LIST,
@@ -141,6 +141,16 @@ def test_unknown_normalization_is_rejected_before_scoring(splits, monkeypatch):
     monkeypatch.setattr(multivariate, "_energy_batch", unreachable)
     with pytest.raises(ValueError, match="normalization"):
         forecast_and_score_splits(splits, DummyConfig(n_samples=8), normalization="bogus")
+
+
+def test_bad_beta_is_rejected_before_forecasting(splits, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("forecast or scored before checking beta")
+
+    monkeypatch.setattr(multivariate, "_crps_batch", unreachable)
+    monkeypatch.setattr(forecasters, "make_dummy_forecast", unreachable)
+    with pytest.raises(ValueError, match="beta"):
+        forecast_and_score_splits(splits, DummyConfig(n_samples=8), beta=3.0)
 
 
 def test_evaluate_is_deterministic(splits):

@@ -413,6 +413,17 @@ def test_score_report_checks_normalization_before_scoring(monkeypatch):
         score_report(ens, np.zeros((3, 2)), normalization="bogus")
 
 
+@pytest.mark.parametrize("beta", [0.0, 2.0, 3.0])
+def test_score_report_checks_beta_before_scoring(monkeypatch, beta):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("scored before checking beta")
+
+    monkeypatch.setattr(multivariate, "_crps_batch", unreachable)
+    ens = np.random.default_rng(6).standard_normal((8, 3, 2))
+    with pytest.raises(ValueError, match="beta"):
+        score_report(ens, np.zeros((3, 2)), beta=beta)
+
+
 def test_score_report_perfect_forecast_all_zero():
     obs = np.array([[1.0, 2.0], [3.0, -1.0]])
     ens = np.broadcast_to(obs, (16, 2, 2)).copy()

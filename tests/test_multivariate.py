@@ -136,14 +136,17 @@ def _energy_three_ways(ens, obs, beta):
     )
 
 
-# Every window takes the Gram form, in row blocks when S > 256.  The cases
-# include a w = 8 window and windows on the lines x2 = +x1 and x2 = -x1 (data
-# correlation +-1).  Largest relative deviation from the direct form over
-# these cases: 7.5e-16.
+# Every window takes the Gram form, its upper triangle in row blocks of
+# 65536 // S rows when S > 256.  The cases include a w = 8 window, windows on
+# the lines x2 = +x1 and x2 = -x1 (data correlation +-1), the paper's 512
+# members (4 blocks of 128), 257 members (a last block of 2 x 2) and 1000
+# members (16 blocks, the last one short).  Largest relative deviation from
+# the direct form over these cases: 7.5e-16.
 _ES_CASES = [
     (2, 1, 1.0, 0), (21, 2, 1.0, 0), (256, 2, 1.5, 0), (257, 2, 1.0, 0), (64, 3, 1.5, 0),
     (600, 2, 1.0, 0), (600, 7, 1.5, 0), (400, 8, 1.0, 0), (600, 9, 1.5, 0), (50, 16, 1.0, 0),
     (8, 2, 1.0, 0), (128, 2, 1.0, 1), (128, 2, 1.5, -1),
+    (512, 2, 1.0, 0), (257, 8, 1.0, 0), (1000, 3, 1.5, 0), (600, 2, 1.0, -1),
 ]
 
 
@@ -223,7 +226,7 @@ def test_energy_overflow_is_nan_not_zero():
         assert np.array_equal(series, [es], equal_nan=True)
 
 
-@pytest.mark.parametrize("shape", [(1, 3000, 2), (1, 3000, 3), (2000, 128, 2)])
+@pytest.mark.parametrize("shape", [(1, 3000, 2), (1, 3000, 3), (1, 3000, 8), (2000, 128, 2)])
 def test_energy_kernel_memory_is_bounded(shape):
     """A 3000-member window is scored in row blocks of at most _TILE doubles,
     never through its 72 MB (w, w) distance matrix, and a batch of many

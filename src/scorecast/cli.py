@@ -18,6 +18,11 @@ null, and there it means "not given".
 
 Configuration precedence: command-line flags > --config JSON file > built-in
 defaults.  Environment variables are never consulted.
+
+Each command returns its reports, as a ``_Run``, and writes none of them.
+``main`` alone makes --out, runs the command, writes the reports and
+``run_manifest.json``, and prints the summary; a run that fails removes the
+directories it made and left empty.
 """
 from __future__ import annotations
 
@@ -158,89 +163,51 @@ def _read(flag: str, read, path):
         raise CliError(f"{flag}: {exc}") from None
 
 
-def _out_dir(effective: dict) -> Path:
-    out = Path(effective["out"])
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise CliError(f"--out: {exc}") from None
-    return out
-
-
-def _emit(
-    out: Path,
-    command: str,
-    config_echo: dict,
-    started: float,
-    tables: dict[str, tuple[Sequence[str], Sequence[Sequence]]],
-    documents: dict[str, dict],
-    facts: Optional[dict] = None,
-) -> float:
-    """Write a run's CSV tables and JSON documents, then its manifest; the
-    run's seed is the config echo's.
-
-    ``tables`` maps file names to (columns, rows), ``documents`` maps file
-    names to JSON payloads, ``facts`` holds measurements for the manifest
-    alone.  Returns the wall time since ``started``, taken after the reports
-    are written and recorded in the manifest.
-    """
-    seed = config_echo["seed"]
-    for name, (columns, rows) in tables.items():
-        reporting.write_csv(out / name, columns, rows, meta={"seed": seed, "config": config_echo})
-    for name, payload in documents.items():
-        reporting.write_json(out / name, payload, config=config_echo)
-    wall = time.perf_counter() - started
-    reporting.write_manifest(out / "run_manifest.json", command, config_echo, seed, wall, facts)
-    return wall
+@dataclass
+class _Run:
+    """What a command returns: ``main`` writes its reports and prints its summary."""
+    config: dict  # the config echo; its "seed" is the run's seed
+    tables: dict[str, tuple[Sequence[str], Sequence[Sequence]]]  # CSV file -> (columns, rows)
+    documents: dict[str, dict]  # JSON file -> payload
+    summary: str  # printed as "<summary> -> <out> (<wall>s)"
+    details: list[str] = field(default_factory=list)  # printed under the summary
+    facts: Optional[dict] = None  # measurements for the manifest alone
 
 
 # --------------------------------------------------------------------------
-# subcommands: each takes the typed options, in config-echo order
+# subcommands: each takes the typed options, in config-echo order, and the
+# --out directory, which exists; only exchange-eval writes to it itself
 # --------------------------------------------------------------------------
 
-def _cmd_convergence(effective: dict) -> int:
-    started = time.perf_counter()
-    out = _out_dir(effective)
+def _cmd_convergence(effective: dict, out: Path) -> _Run:
     report = simulation.run_convergence_study(
         sample_sizes=effective["sizes"], n_quantiles=effective["n_quantiles"],
         repeats=effective["repeats"], seed=effective["seed"],
     )
-    wall = _emit(
-        out, "convergence", effective, started,
+    analytic = 0.23369497725510105
+    return _Run(
+        effective,
         {"convergence.csv": reporting.table(simulation.ConvergenceRow, report.rows)},
         {"convergence.json": asdict(report)},
+        f"convergence: {len(report.rows)} rows",
+        [f"  {r.estimator:<9} S={r.sample_size:<6} N={r.n_quantiles or '-':<5}"
+         f" mean={r.mean:.6f} (analytic {analytic:.4f}) std={r.std:.6f}"
+         for r in report.rows],
     )
 
-    print(f"convergence: {len(report.rows)} rows -> {out} ({wall:.1f}s)")
-    analytic = 0.23369497725510105
-    for r in report.rows:
-        print(
-            f"  {r.estimator:<9} S={r.sample_size:<6} N={r.n_quantiles or '-':<5}"
-            f" mean={r.mean:.6f} (analytic {analytic:.4f}) std={r.std:.6f}"
-        )
-    return 0
 
-
-def _cmd_sensitivity(effective: dict) -> int:
+def _cmd_sensitivity(effective: dict, out: Path) -> _Run:
     # Every option but --out is a SensitivityConfig field.
     config = simulation.SensitivityConfig(**{k: v for k, v in effective.items() if k != "out"})
-    started = time.perf_counter()
-    out = _out_dir(effective)
     report, facts = simulation._run_grid(config)
-
-    config_echo = asdict(config) | {"out": effective["out"]}
-    wall = _emit(
-        out, "sensitivity", config_echo, started,
+    return _Run(
+        asdict(config) | {"out": effective["out"]},
         {"sensitivity.csv": reporting.table(simulation.GridCell, report.cells)},
         {"sensitivity.json": asdict(report)},
-        facts,
-    )
-
-    print(
         f"sensitivity: {len(report.cells)} cells "
-        f"({config.n_windows} windows x {config.window_size} ensemble) -> {out} ({wall:.1f}s)"
+        f"({config.n_windows} windows x {config.window_size} ensemble)",
+        facts=facts,
     )
-    return 0
 
 
 def _load_splits(effective: dict):
@@ -255,14 +222,12 @@ def _load_splits(effective: dict):
     )
 
 
-def _cmd_exchange_eval(effective: dict) -> int:
+def _cmd_exchange_eval(effective: dict, out: Path) -> _Run:
     cfg = forecasters.DummyConfig(
         kind=effective["kind"], sigma=effective["sigma"],
         n_samples=effective["samples"], seed=effective["seed"],
     )
-    started = time.perf_counter()
     series, splits = _load_splits(effective)
-    out = _out_dir(effective)
     ensembles, per_split, pooled = forecasters.forecast_and_score_splits(
         splits, cfg, estimator=effective["estimator"], n_quantiles=effective["n_quantiles"],
         normalization=effective["normalize"],
@@ -272,8 +237,8 @@ def _cmd_exchange_eval(effective: dict) -> int:
     if effective["dump_samples"]:
         for split, ens in zip(splits, ensembles):
             forecasters.ensemble_to_csv(ens, out / f"samples_split_{split.split_index}.csv")
-    wall = _emit(
-        out, "exchange-eval", effective | {"series_rows": series.length}, started,
+    return _Run(
+        effective | {"series_rows": series.length},
         {
             "scores.csv": (("split", *ScoreReport.CSV_COLUMNS),
                            [(label, *rep.csv_row())
@@ -282,34 +247,25 @@ def _cmd_exchange_eval(effective: dict) -> int:
         },
         {"scores.json": {"splits": {label: rep.to_dict() for label, rep in labeled},
                          "pooled": pooled.to_dict()}},
+        f"exchange-eval[{cfg.kind}]: {len(splits)} splits",
+        [f"  pooled ({pooled.normalization_mode}): crps_sum={pooled.crps_sum:.6f} "
+         f"crps={pooled.crps_aggregate:.6f} es={pooled.energy_score:.6f}"],
     )
 
-    print(f"exchange-eval[{cfg.kind}]: {len(splits)} splits -> {out} ({wall:.1f}s)")
-    print(
-        f"  pooled ({pooled.normalization_mode}): crps_sum={pooled.crps_sum:.6f} "
-        f"crps={pooled.crps_aggregate:.6f} es={pooled.energy_score:.6f}"
-    )
-    return 0
 
-
-def _cmd_sigma_sweep(effective: dict) -> int:
-    started = time.perf_counter()
+def _cmd_sigma_sweep(effective: dict, out: Path) -> _Run:
     series, splits = _load_splits(effective)
-    out = _out_dir(effective)
     rows = forecasters.sigma_sweep(
         effective["kind"], effective["sigmas"], splits, n_samples=effective["samples"],
         seed=effective["seed"], estimator=effective["estimator"],
         n_quantiles=effective["n_quantiles"], normalization=effective["normalize"],
     )
-
-    wall = _emit(
-        out, "sigma-sweep", effective | {"series_rows": series.length}, started,
+    return _Run(
+        effective | {"series_rows": series.length},
         {"sigma_sweep.csv": reporting.table(forecasters.SigmaSweepRow, rows)},
         {"sigma_sweep.json": {"rows": [asdict(r) for r in rows]}},
+        f"sigma-sweep[{effective['kind']}]: {len(rows)} noise scales",
     )
-
-    print(f"sigma-sweep[{effective['kind']}]: {len(rows)} noise scales -> {out} ({wall:.1f}s)")
-    return 0
 
 
 _DUMP_HEADER = ["sample_id", "t", "dim", "value"]
@@ -361,33 +317,26 @@ def _read_ensemble_csv(path: str) -> np.ndarray:
     return ensemble
 
 
-def _cmd_score(effective: dict) -> int:
+def _cmd_score(effective: dict, out: Path) -> _Run:
     if effective["ensemble"] is None:
         raise CliError("--ensemble: path to a sample-dump CSV is required")
     if effective["obs"] is None:
         raise CliError("--obs: path to a headerless observation CSV is required")
 
-    started = time.perf_counter()
     ensemble = _read_ensemble_csv(effective["ensemble"])
     obs = _read("--obs", load_multivariate_csv, effective["obs"]).values
-    out = _out_dir(effective)
     report = score_report(
         ensemble, obs,
         estimator=effective["estimator"], n_quantiles=effective["n_quantiles"],
         beta=effective["beta"], normalization=effective["normalize"], seed=effective["seed"],
     )
-
-    _emit(
-        out, "score", effective, started,
+    return _Run(
+        effective,
         {"score.csv": (ScoreReport.CSV_COLUMNS, [report.csv_row()])},
         {"score.json": report.to_dict()},
-    )
-
-    print(
         f"score ({report.normalization_mode}): crps_sum={report.crps_sum:.6f} "
-        f"crps={report.crps_aggregate:.6f} es={report.energy_score:.6f} -> {out}"
+        f"crps={report.crps_aggregate:.6f} es={report.energy_score:.6f}",
     )
-    return 0
 
 
 # --------------------------------------------------------------------------
@@ -490,14 +439,31 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Resolve the options, make --out, run the command, then write its
+    reports and the run manifest and print its summary."""
     args = build_parser().parse_args(argv)
     handler, _, options = COMMANDS[args.command]
-    made: list[Path] = []  # the --out directories this run would create, deepest first
+    made: list[Path] = []  # the --out directories this run creates, deepest first
     try:
         effective = _effective(options, args)
+        started = time.perf_counter()
         out = Path(effective["out"])
         made = [d for d in (out, *out.parents) if not d.exists()]
-        return handler(effective)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise CliError(f"--out: {exc}") from None
+        run = handler(effective, out)
+        seed = run.config["seed"]
+        for name, (columns, rows) in run.tables.items():
+            reporting.write_csv(out / name, columns, rows, meta={"seed": seed, "config": run.config})
+        for name, payload in run.documents.items():
+            reporting.write_json(out / name, payload, config=run.config)
+        wall = time.perf_counter() - started  # recorded in the manifest, so taken before it
+        reporting.write_manifest(out / "run_manifest.json", args.command, run.config, seed, wall,
+                                 run.facts)
+        print("\n".join([f"{run.summary} -> {out} ({wall:.1f}s)", *run.details]))
+        return 0
     except (CliError, ValueError, OSError) as exc:
         for directory in made:  # leave nothing behind that this run made and left empty
             try:

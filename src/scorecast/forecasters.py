@@ -32,7 +32,7 @@ from .multivariate import (
     crps_sum_series,
     energy_series,
 )
-from .simulation import RngLike, _as_generator
+from .simulation import RngLike
 
 __all__ = [
     "DummyConfig",
@@ -95,7 +95,7 @@ def make_dummy_forecast(
     horizon = int(horizon)
     if horizon < 1:
         raise ValueError(f"horizon must be positive, got {horizon}")
-    rng = _as_generator(rng if rng is not None else cfg.seed)
+    rng = np.random.default_rng(rng if rng is not None else cfg.seed)
     loc = float(arr[-1].mean()) if cfg.kind == "univariate" else arr[-1]
     return rng.normal(loc, cfg.sigma, size=(cfg.n_samples, horizon, arr.shape[1]))
 

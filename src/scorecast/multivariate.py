@@ -302,7 +302,9 @@ def _report(
 
     Target normalization divides accumulated scores by the accumulated
     absolute magnitude of the corresponding targets: pointwise CRPS and the
-    energy score by sum |obs|, summed-series CRPS by sum |sum_d obs|.
+    energy score by sum |obs|, summed-series CRPS by sum |sum_d obs|.  A
+    dimension whose observations are all zero has no scale: its per-dimension
+    value is NaN.
     """
     if normalization == "raw":
         per_dim = mat.mean(axis=0)
@@ -313,7 +315,9 @@ def _report(
         denom_sum = np.abs(window.sum(axis=1)).sum()
         if denom_point <= 0.0 or denom_sum <= 0.0:
             raise ValueError("target normalization undefined: observations sum to zero magnitude")
-        per_dim = mat.sum(axis=0) / abs_obs.sum(axis=0)
+        dim_scale = abs_obs.sum(axis=0)
+        per_dim = np.full(dim_scale.shape, np.nan)
+        np.divide(mat.sum(axis=0), dim_scale, out=per_dim, where=dim_scale > 0.0)
         aggregate = mat.sum() / denom_point
         cs_value = cs_series.sum() / denom_sum
         es_value = es_series.sum() / denom_point

@@ -99,12 +99,6 @@ def bivariate_correlation_spec(rho: float) -> GaussianSpec:
     return GaussianSpec(np.zeros(2), np.array([[1.0, rho], [rho, 1.0]]))
 
 
-def _as_generator(seed: RngLike) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def relative_change(score_mean: float, reference_mean: float) -> float:
     """Relative deviation (score - reference) / reference of a score mean.
 
@@ -173,7 +167,7 @@ def run_sensitivity_cell(
     n_windows, window_size, n_quantiles, beta = _check_cell_args(
         n_windows, window_size, n_quantiles, beta
     )
-    rng = _as_generator(seed)
+    rng = np.random.default_rng(seed)
     data_factor = bivariate_correlation_spec(rho).factor()
     model_factor = bivariate_correlation_spec(varrho).factor()
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import scorecast
-from scorecast import __version__, _rowloop, forecasters, simulation
+from scorecast import __version__, _rowloop, forecasters, reporting, simulation
 from scorecast.cli import COMMANDS, _bulk_ensemble, _read_ensemble_csv, build_parser, main
 from scorecast.data import MultivariateSeries
 from scorecast.forecasters import ensemble_to_csv
@@ -226,7 +226,8 @@ def test_bad_path_is_an_error_line(tmp_path, stored_case, synthetic_series_file,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["convergence", "score", "exchange-eval"])
+@pytest.mark.parametrize("command", ["convergence", "score", "exchange-eval",
+                                     "sensitivity", "sigma-sweep"])
 def test_a_rejected_run_leaves_no_out_it_made(tmp_path, stored_case, synthetic_series_file,
                                               capsys, command):
     """Arguments that only the library rejects exit 2 after --out is made;
@@ -237,6 +238,8 @@ def test_a_rejected_run_leaves_no_out_it_made(tmp_path, stored_case, synthetic_s
         "score": ["score", "--beta", "3", "--ensemble", str(ens_path), "--obs", str(obs_path)],
         "exchange-eval": ["exchange-eval", "--n-quantiles", "0",
                           "--data", str(synthetic_series_file)],
+        "sensitivity": ["sensitivity", "--n-windows", "1"],
+        "sigma-sweep": ["sigma-sweep", "--n-quantiles", "0", "--data", str(synthetic_series_file)],
     }[command]
     made = tmp_path / "made"
     assert main([*argv, "--out", str(made / "out")]) == 2
@@ -247,6 +250,29 @@ def test_a_rejected_run_leaves_no_out_it_made(tmp_path, stored_case, synthetic_s
     assert existing.is_dir()
     err = capsys.readouterr().err
     assert err.count("\n") == 2 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_a_failing_report_write_is_one_error_line(tmp_path, stored_case, synthetic_series_file,
+                                                  capsys, monkeypatch, command):
+    """A report that cannot be written ends the run with exit 2 and one
+    error line, not a traceback."""
+    def refuse(path, *args, **kwargs):
+        raise OSError(f"cannot write {path}")
+
+    monkeypatch.setattr(reporting, "write_json", refuse)
+    _, _, ens_path, obs_path = stored_case
+    data = ["--data", str(synthetic_series_file), *EVAL_ARGS]
+    argv = {
+        "convergence": ["convergence", "--repeats", "2", "--sizes", "20"],
+        "sensitivity": ["sensitivity", "--n-windows", "4", "--window-size", "4"],
+        "exchange-eval": ["exchange-eval", *data],
+        "sigma-sweep": ["sigma-sweep", *data, "--sigmas", "0.01"],
+        "score": ["score", "--ensemble", str(ens_path), "--obs", str(obs_path)],
+    }[command]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1
 
 
 def test_config_outside_utf8_is_named(tmp_path, capsys):
@@ -492,6 +518,22 @@ def stored_case(tmp_path, rng):
 def test_ensemble_csv_round_trip(stored_case):
     ens, _, ens_path, _ = stored_case
     np.testing.assert_array_equal(_read_ensemble_csv(str(ens_path)), ens)
+
+
+def test_score_target_of_an_all_zero_dimension(tmp_path, rng, capsys):
+    """An observed dimension of zeros has no target scale: its per-dimension
+    value is written as null, with no warning on stderr."""
+    ens_path, obs_path = tmp_path / "ens.csv", tmp_path / "obs.csv"
+    ensemble_to_csv(rng.standard_normal((20, 3, 2)), ens_path)
+    obs = rng.standard_normal((3, 2)) + 1.0
+    obs[:, 1] = 0.0
+    MultivariateSeries(values=obs).save(obs_path)
+    out = tmp_path / "score"
+    run_ok(["score", "--ensemble", str(ens_path), "--obs", str(obs_path),
+            "--normalize", "target", "--out", str(out)])
+    assert capsys.readouterr().err == ""
+    per_dim = json.loads((out / "score.json").read_text())["crps_per_dim"]
+    assert per_dim[0] > 0.0 and per_dim[1] is None
 
 
 def test_score_command_matches_library(tmp_path, stored_case):

@@ -406,6 +406,20 @@ def test_target_normalization_rejects_zero_magnitude_targets():
         score_report(ens, np.zeros((2, 2)), normalization="target")
 
 
+def test_target_normalization_of_an_all_zero_dimension():
+    """A dimension observed as all zeros has no scale: its per-dimension
+    value is NaN, with no warning (the suite turns warnings into errors);
+    the other dimensions keep their values."""
+    rng = np.random.default_rng(8)
+    ens = rng.standard_normal((20, 3, 2)) + 1.0
+    obs = rng.standard_normal((3, 2)) + 1.0
+    obs[:, 1] = 0.0
+    rep = score_report(ens, obs, normalization="target")
+    mat = crps_matrix(ens, obs)
+    assert np.isnan(rep.crps_per_dim[1])
+    assert rep.crps_per_dim[0] == mat.sum(axis=0)[0] / np.abs(obs).sum(axis=0)[0]
+
+
 def test_score_report_checks_normalization_before_scoring(monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("scored before checking normalization")

@@ -20,14 +20,18 @@ Configuration precedence: command-line flags > --config JSON file > built-in
 defaults.  Environment variables are never consulted.
 
 Each command returns its reports, as a ``_Run``, and writes none of them.
-``main`` alone makes --out, runs the command, writes the reports and
-``run_manifest.json``, and prints the summary; a run that fails removes the
-directories it made and left empty.
+``main`` alone makes --out, runs the command, writes the sample dumps, the
+reports and ``run_manifest.json``, and prints the summary; a run that fails
+removes the directories it made and left empty.  The files of a run are
+written whole: each goes to a temporary file beside its target, and only
+when every one is written are they renamed into place, so a failed write
+leaves the previous run's files as they were.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -172,14 +176,15 @@ class _Run:
     summary: str  # printed as "<summary> -> <out> (<wall>s)"
     details: list[str] = field(default_factory=list)  # printed under the summary
     facts: Optional[dict] = None  # measurements for the manifest alone
+    dumps: dict[str, np.ndarray] = field(default_factory=dict)  # sample dump file -> ensemble
 
 
 # --------------------------------------------------------------------------
-# subcommands: each takes the typed options, in config-echo order, and the
-# --out directory, which exists; only exchange-eval writes to it itself
+# subcommands: each takes the typed options, in config-echo order, and
+# writes nothing
 # --------------------------------------------------------------------------
 
-def _cmd_convergence(effective: dict, out: Path) -> _Run:
+def _cmd_convergence(effective: dict) -> _Run:
     report = simulation.run_convergence_study(
         sample_sizes=effective["sizes"], n_quantiles=effective["n_quantiles"],
         repeats=effective["repeats"], seed=effective["seed"],
@@ -196,7 +201,7 @@ def _cmd_convergence(effective: dict, out: Path) -> _Run:
     )
 
 
-def _cmd_sensitivity(effective: dict, out: Path) -> _Run:
+def _cmd_sensitivity(effective: dict) -> _Run:
     # Every option but --out is a SensitivityConfig field.
     config = simulation.SensitivityConfig(**{k: v for k, v in effective.items() if k != "out"})
     report, facts = simulation._run_grid(config)
@@ -222,7 +227,7 @@ def _load_splits(effective: dict):
     )
 
 
-def _cmd_exchange_eval(effective: dict, out: Path) -> _Run:
+def _cmd_exchange_eval(effective: dict) -> _Run:
     cfg = forecasters.DummyConfig(
         kind=effective["kind"], sigma=effective["sigma"],
         n_samples=effective["samples"], seed=effective["seed"],
@@ -234,9 +239,8 @@ def _cmd_exchange_eval(effective: dict, out: Path) -> _Run:
     )
 
     labeled = [(f"split_{r.split_index}", rep) for r, rep in zip(splits, per_split)]
-    if effective["dump_samples"]:
-        for split, ens in zip(splits, ensembles):
-            forecasters.ensemble_to_csv(ens, out / f"samples_split_{split.split_index}.csv")
+    dumps = {f"samples_split_{split.split_index}.csv": ens
+             for split, ens in zip(splits, ensembles)} if effective["dump_samples"] else {}
     return _Run(
         effective | {"series_rows": series.length},
         {
@@ -250,10 +254,11 @@ def _cmd_exchange_eval(effective: dict, out: Path) -> _Run:
         f"exchange-eval[{cfg.kind}]: {len(splits)} splits",
         [f"  pooled ({pooled.normalization_mode}): crps_sum={pooled.crps_sum:.6f} "
          f"crps={pooled.crps_aggregate:.6f} es={pooled.energy_score:.6f}"],
+        dumps=dumps,
     )
 
 
-def _cmd_sigma_sweep(effective: dict, out: Path) -> _Run:
+def _cmd_sigma_sweep(effective: dict) -> _Run:
     series, splits = _load_splits(effective)
     rows = forecasters.sigma_sweep(
         effective["kind"], effective["sigmas"], splits, n_samples=effective["samples"],
@@ -317,7 +322,7 @@ def _read_ensemble_csv(path: str) -> np.ndarray:
     return ensemble
 
 
-def _cmd_score(effective: dict, out: Path) -> _Run:
+def _cmd_score(effective: dict) -> _Run:
     if effective["ensemble"] is None:
         raise CliError("--ensemble: path to a sample-dump CSV is required")
     if effective["obs"] is None:
@@ -440,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Resolve the options, make --out, run the command, then write its
-    reports and the run manifest and print its summary."""
+    sample dumps, reports and run manifest, whole, and print its summary."""
     args = build_parser().parse_args(argv)
     handler, _, options = COMMANDS[args.command]
     made: list[Path] = []  # the --out directories this run creates, deepest first
@@ -453,15 +458,30 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise CliError(f"--out: {exc}") from None
-        run = handler(effective, out)
+        run = handler(effective)
         seed = run.config["seed"]
-        for name, (columns, rows) in run.tables.items():
-            reporting.write_csv(out / name, columns, rows, meta={"seed": seed, "config": run.config})
-        for name, payload in run.documents.items():
-            reporting.write_json(out / name, payload, config=run.config)
-        wall = time.perf_counter() - started  # recorded in the manifest, so taken before it
-        reporting.write_manifest(out / "run_manifest.json", args.command, run.config, seed, wall,
-                                 run.facts)
+        staged: dict[Path, Path] = {}  # file -> its temporary beside it
+
+        def stage(name: str) -> Path:
+            staged[out / name] = out / f".{name}.{os.getpid()}.tmp"
+            return staged[out / name]
+
+        try:
+            for name, ensemble in run.dumps.items():
+                forecasters.ensemble_to_csv(ensemble, stage(name))
+            for name, (columns, rows) in run.tables.items():
+                reporting.write_csv(stage(name), columns, rows,
+                                    meta={"seed": seed, "config": run.config})
+            for name, payload in run.documents.items():
+                reporting.write_json(stage(name), payload, config=run.config)
+            wall = time.perf_counter() - started  # recorded in the manifest, so taken before it
+            reporting.write_manifest(stage("run_manifest.json"), args.command, run.config, seed,
+                                     wall, run.facts)
+            for target, temporary in staged.items():
+                os.replace(temporary, target)
+        finally:
+            for temporary in staged.values():
+                temporary.unlink(missing_ok=True)
         print("\n".join([f"{run.summary} -> {out} ({wall:.1f}s)", *run.details]))
         return 0
     except (CliError, ValueError, OSError) as exc:

@@ -11,9 +11,11 @@ expectation form E|X - x| - 0.5 E|X - X'|) plus the closed form for a
 Gaussian predictive distribution.  The step integral and the expectation
 form with S^2 pair normalization are one functional, the CRPS of the
 samples' empirical distribution, so they share one batched kernel; the
-quantile estimator has the other.  Both kernels score along the last axis of
-any batch shape; the public functions are validated scalar wrappers around
-them.
+quantile estimator has the other.  That kernel takes every level's quantile
+from one sort, by numpy's linear rule, equal bit for bit to
+``np.quantile(..., method="linear")``, NaN rule included.  Both kernels
+score along the last axis of any batch shape; the public functions are
+validated scalar wrappers around them.
 """
 from __future__ import annotations
 
@@ -104,10 +106,30 @@ def _nonnegative(scores: NDArray[np.float64]) -> NDArray[np.float64]:
 def _quantile(
     samples: NDArray[np.float64], obs: NDArray[np.float64], n_quantiles: int
 ) -> NDArray[np.float64]:
-    """Quantile (pinball) CRPS of every batch entry at ``n_quantiles`` levels."""
+    """Quantile (pinball) CRPS of every batch entry at ``n_quantiles`` levels.
+
+    One sort gives every level's quantile at once, bit for bit as
+    ``np.quantile(..., method="linear")`` gives it: level alpha lies at
+    position (S - 1) alpha between the order statistics a = s_(lo) and
+    b = s_(lo + 1), lo its floor and gamma its fraction, and is numpy's
+    ``a + (b - a) gamma``, or ``b - (b - a)(1 - gamma)`` where gamma >= 0.5.
+    As in ``np.quantile``, an entry holding NaN has NaN quantiles, so it
+    scores NaN even where no level reads its last order statistic.
+    """
     alphas = (np.arange(1, n_quantiles + 1) - 0.5) / n_quantiles
-    q = np.quantile(samples, alphas, axis=-1, method="linear")  # (N, ...)
-    q = np.ascontiguousarray(np.moveaxis(q, 0, -1))
+    s = np.sort(samples, axis=-1)
+    n = s.shape[-1]
+    position = (n - 1) * alphas
+    below = np.floor(position)
+    gamma = position - below
+    lo = below.astype(np.intp)  # <= S - 2, since every alpha < 1
+    a, b = s[..., lo], s[..., lo + 1]
+    diff = b - a
+    q = a + diff * gamma
+    np.subtract(b, diff * (1 - gamma), out=q, where=gamma >= 0.5)
+    np.copyto(q, np.nan, where=np.isnan(s[..., -1:]))  # a NaN sorts last
+    # C order, so the mean below sums each entry's losses in the order of a 1-D call.
+    q = np.ascontiguousarray(q)
     x = np.expand_dims(obs, -1)
     losses = (alphas - (x < q)) * (x - q)
     return 2.0 * losses.mean(axis=-1)
@@ -166,7 +188,11 @@ def crps_quantile(samples: ArrayLike, x: float, n_quantiles: int = 20) -> float:
     Uses CRPS(F, x) = integral over alpha in (0,1) of 2 * pinball(alpha) and
     approximates the integral at midpoint levels alpha_k = (k - 0.5) / N with
     empirical quantiles obtained by linear interpolation between order
-    statistics.
+    statistics.  One sort gives all N quantiles, each by numpy's linear rule
+    at position (S - 1) alpha_k, so they equal ``np.quantile(samples,
+    alphas, method="linear")`` bit for bit; as there, a NaN among the
+    samples makes every quantile NaN (the public function rejects
+    non-finite samples before that).
 
     Args:
         samples: forecast samples (length >= 2, finite).

@@ -8,7 +8,11 @@ Two deliberately trivial baselines:
 * multivariate: dimension i gets N(x_last_i, sigma^2) — persistence of the
   last observed row plus independent noise.
 
-Both are scored over rolling splits; scores can be pooled across splits.
+Each ensemble is ``loc + sigma * z`` with z standard normal draws, which is
+``rng.normal(loc, sigma, size)`` bit for bit.  Both are scored over rolling
+splits, each split's draw from its own random stream, and scores can be
+pooled across splits.  A sweep over sigma draws each split's z once and
+scales it by every sigma.
 """
 from __future__ import annotations
 
@@ -24,13 +28,13 @@ from numpy.typing import NDArray
 from .data import EvaluationSplit
 from .multivariate import (
     ScoreReport,
+    _as_ensemble,
+    _as_observation_window,
     _check_beta,
     _check_estimator,
     _check_normalization,
     _report,
-    crps_matrix,
-    crps_sum_series,
-    energy_series,
+    _scores,
 )
 from .simulation import RngLike
 
@@ -91,13 +95,19 @@ def make_dummy_forecast(
     N(last_row[i], sigma^2).  Univariate: loc is that row's mean across
     dimensions, one scalar law for every dimension and horizon step.
     """
+    rng = np.random.default_rng(rng if rng is not None else cfg.seed)
+    loc, z = _draw(input_window, horizon, cfg.kind, cfg.n_samples, rng)
+    return loc + cfg.sigma * z
+
+
+def _draw(input_window, horizon: int, kind: str, n_samples: int, rng: np.random.Generator):
+    """The location and the (S, H, D) standard normals of a dummy forecast."""
     arr = _check_input_window(input_window)
     horizon = int(horizon)
     if horizon < 1:
         raise ValueError(f"horizon must be positive, got {horizon}")
-    rng = np.random.default_rng(rng if rng is not None else cfg.seed)
-    loc = float(arr[-1].mean()) if cfg.kind == "univariate" else arr[-1]
-    return rng.normal(loc, cfg.sigma, size=(cfg.n_samples, horizon, arr.shape[1]))
+    loc = float(arr[-1].mean()) if kind == "univariate" else arr[-1]
+    return loc, rng.standard_normal((n_samples, horizon, arr.shape[1]))
 
 
 # Values formatted per write, which bounds the dump's memory for any ensemble
@@ -135,6 +145,36 @@ def _split_rng(master_seed: int, split_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=(master_seed, split_index)))
 
 
+def _check_scoring(
+    splits: Sequence[EvaluationSplit], estimator: str, n_quantiles: int, beta: float,
+    normalization: str,
+) -> float:
+    """Check the scoring arguments of a split evaluation; returns beta."""
+    if not splits:
+        raise ValueError("no evaluation splits given")
+    _check_estimator(estimator, n_quantiles)
+    _check_normalization(normalization)
+    return _check_beta(beta)
+
+
+def _score_split(
+    ensemble: NDArray[np.float64], target_window, estimator: str, n_quantiles: int, beta: float
+) -> tuple:
+    """(CRPS (H, D), CRPS-Sum (H,), ES (H,), window) of one split's forecast,
+    its ensemble and window checked once."""
+    ens = _as_ensemble(ensemble)
+    window = _as_observation_window(target_window, ens)
+    return (*_scores(ens, window, estimator, n_quantiles, beta), window)
+
+
+def _pool(scored: list[tuple], normalization: str, estimator: str, n_quantiles: int,
+          seed: int) -> ScoreReport:
+    """One report of every split's scores: the per-step series (and the
+    observation windows) are concatenated and aggregated once."""
+    parts = (np.concatenate(part, axis=0) for part in zip(*scored))
+    return _report(*parts, normalization, estimator, n_quantiles, seed)
+
+
 def forecast_and_score_splits(
     splits: Sequence[EvaluationSplit],
     cfg: DummyConfig,
@@ -155,32 +195,17 @@ def forecast_and_score_splits(
         (ensembles, per_split_reports, pooled_report), where ensembles[k] is
         the (S, H, D) forecast scored for splits[k].
     """
-    if not splits:
-        raise ValueError("no evaluation splits given")
-    _check_estimator(estimator, n_quantiles)
-    _check_normalization(normalization)
-    _check_beta(beta)
-
+    beta = _check_scoring(splits, estimator, n_quantiles, beta, normalization)
     ensembles = []
     scored = []  # (mat, cs, es, window) per split
     for split in splits:
         rng = _split_rng(cfg.seed, split.split_index)
         ensemble = make_dummy_forecast(split.input_window, split.target_window.shape[0], cfg, rng)
-        window = split.target_window
         ensembles.append(ensemble)
-        scored.append((
-            crps_matrix(ensemble, window, estimator, n_quantiles),
-            crps_sum_series(ensemble, window, estimator, n_quantiles),
-            energy_series(ensemble, window, beta=beta),
-            window,
-        ))
-
-    def report(mat, cs, es, window) -> ScoreReport:
-        return _report(mat, cs, es, window, normalization, estimator, n_quantiles, cfg.seed)
-
-    per_split = [report(*parts) for parts in scored]
-    pooled = report(*(np.concatenate(parts, axis=0) for parts in zip(*scored)))
-    return ensembles, per_split, pooled
+        scored.append(_score_split(ensemble, split.target_window, estimator, n_quantiles, beta))
+    per_split = [_report(*parts, normalization, estimator, n_quantiles, cfg.seed)
+                 for parts in scored]
+    return ensembles, per_split, _pool(scored, normalization, estimator, n_quantiles, cfg.seed)
 
 
 def evaluate_dummy_on_splits(
@@ -225,24 +250,28 @@ def sigma_sweep(
 ) -> list[SigmaSweepRow]:
     """Pooled dummy-forecast scores for each noise scale in sigma_list.
 
-    Every sigma reuses the same per-split random streams, so score
+    Each split's standard normals z are drawn once, from the split's own
+    stream, and every sigma scores ``loc + sigma * z``: the ensembles of
+    ``evaluate_dummy_on_splits`` at that sigma, bit for bit.  So score
     differences across the sweep reflect the noise scale alone.  Every
     sigma is checked before the first one is scored.
     """
     configs = [DummyConfig(kind=kind, sigma=sigma, n_samples=n_samples, seed=seed)
                for sigma in sigma_list]
+    if not configs:
+        return []
+    beta = _check_scoring(splits, estimator, n_quantiles, beta, normalization)
+    first = configs[0]  # the checked kind, ensemble size and seed
+    scored = [[] for _ in configs]  # per sigma: (mat, cs, es, window) per split
+    for split in splits:
+        loc, z = _draw(split.input_window, split.target_window.shape[0], first.kind,
+                       first.n_samples, _split_rng(first.seed, split.split_index))
+        for cfg, parts in zip(configs, scored):
+            parts.append(_score_split(loc + cfg.sigma * z, split.target_window, estimator,
+                                      n_quantiles, beta))
     rows = []
-    for cfg in configs:
-        _, pooled = evaluate_dummy_on_splits(
-            splits, cfg, estimator=estimator, n_quantiles=n_quantiles,
-            beta=beta, normalization=normalization,
-        )
-        rows.append(
-            SigmaSweepRow(
-                sigma=cfg.sigma,
-                crps_sum=pooled.crps_sum,
-                crps=pooled.crps_aggregate,
-                es=pooled.energy_score,
-            )
-        )
+    for cfg, parts in zip(configs, scored):
+        pooled = _pool(parts, normalization, estimator, n_quantiles, cfg.seed)
+        rows.append(SigmaSweepRow(sigma=cfg.sigma, crps_sum=pooled.crps_sum,
+                                  crps=pooled.crps_aggregate, es=pooled.energy_score))
     return rows

@@ -183,12 +183,48 @@ def energy_score(samples: ArrayLike, obs: ArrayLike, beta: float = 1.0) -> float
     return float(_energy_batch(s[None], x[None], _check_beta(beta))[0])
 
 
+# Scores of a validated (S, H, D) ensemble against its (H, D) window.  The
+# public functions below check their arguments and call one of these;
+# ``score_report`` and the dummy forecasters check theirs once and call ``_scores``.
+
+def _energy_steps(
+    ens: NDArray[np.float64], window: NDArray[np.float64], beta: float
+) -> NDArray[np.float64]:
+    # A view: ``x - x[0]`` in the kernel makes each step's window contiguous.
+    return _energy_batch(ens.transpose(1, 0, 2), window, beta)
+
+
+def _crps_cells(
+    ens: NDArray[np.float64], window: NDArray[np.float64], estimator: str, n_quantiles: int
+) -> NDArray[np.float64]:
+    by_cell = np.ascontiguousarray(ens.transpose(1, 2, 0))  # (H, D, S)
+    return _crps_batch(by_cell, window, estimator, n_quantiles)
+
+
+def _crps_sum_steps(
+    ens: NDArray[np.float64], window: NDArray[np.float64], estimator: str, n_quantiles: int
+) -> NDArray[np.float64]:
+    summed_samples = np.ascontiguousarray(ens.sum(axis=2).T)  # (H, S)
+    return _crps_batch(summed_samples, window.sum(axis=1), estimator, n_quantiles)
+
+
+def _scores(
+    ens: NDArray[np.float64], window: NDArray[np.float64], estimator: str, n_quantiles: int,
+    beta: float,
+) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
+    """Pointwise CRPS (H, D), summed-series CRPS (H,) and energy scores (H,)."""
+    return (
+        _crps_cells(ens, window, estimator, n_quantiles),
+        _crps_sum_steps(ens, window, estimator, n_quantiles),
+        _energy_steps(ens, window, beta),
+    )
+
+
 def energy_series(ensemble: ArrayLike, obs: ArrayLike, beta: float = 1.0) -> NDArray[np.float64]:
     """Per-step energy scores over the horizon: returns an (H,) array."""
     ens = _as_ensemble(ensemble)
     window = _as_observation_window(obs, ens)
-    # A view: ``x - x[0]`` in the kernel makes each step's window contiguous.
-    return _energy_batch(ens.transpose(1, 0, 2), window, _check_beta(beta))
+    return _energy_steps(ens, window, _check_beta(beta))
 
 
 def energy_score_window(ensemble: ArrayLike, obs: ArrayLike, beta: float = 1.0) -> float:
@@ -207,8 +243,7 @@ def crps_matrix(
     ens = _as_ensemble(ensemble)
     window = _as_observation_window(obs, ens)
     _check_estimator(estimator, n_quantiles)
-    by_cell = np.ascontiguousarray(ens.transpose(1, 2, 0))  # (H, D, S)
-    return _crps_batch(by_cell, window, estimator, n_quantiles)
+    return _crps_cells(ens, window, estimator, n_quantiles)
 
 
 def crps_sum_series(
@@ -226,8 +261,7 @@ def crps_sum_series(
     ens = _as_ensemble(ensemble)
     window = _as_observation_window(obs, ens)
     _check_estimator(estimator, n_quantiles)
-    summed_samples = np.ascontiguousarray(ens.sum(axis=2).T)  # (H, S)
-    return _crps_batch(summed_samples, window.sum(axis=1), estimator, n_quantiles)
+    return _crps_sum_steps(ens, window, estimator, n_quantiles)
 
 
 def crps_sum(
@@ -356,12 +390,9 @@ def score_report(
             the ensemble); not used for any computation here.
     """
     _check_normalization(normalization)
-    _check_beta(beta)
+    beta = _check_beta(beta)
     ens = _as_ensemble(ensemble)
     window = _as_observation_window(obs, ens)
-    return _report(
-        crps_matrix(ens, window, estimator, n_quantiles),
-        crps_sum_series(ens, window, estimator, n_quantiles),
-        energy_series(ens, window, beta=beta),
-        window, normalization, estimator, n_quantiles, seed,
-    )
+    _check_estimator(estimator, n_quantiles)
+    return _report(*_scores(ens, window, estimator, n_quantiles, beta), window,
+                   normalization, estimator, n_quantiles, seed)

@@ -275,6 +275,35 @@ def test_a_failing_report_write_is_one_error_line(tmp_path, stored_case, synthet
     assert err.startswith("error: cannot write ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("writer", ["write_json", "write_manifest"])
+@pytest.mark.parametrize("command", ["convergence", "exchange-eval"])
+def test_a_failing_write_leaves_the_previous_files_whole(tmp_path, synthetic_series_file, capsys,
+                                                         monkeypatch, command, writer):
+    """A run's files replace an earlier run's only when every one of them is
+    written: a write that fails part-way, after the sample dumps and the CSV
+    reports, leaves each file as the earlier run wrote it and no temporary."""
+    out = tmp_path / "out"
+    argv = {
+        "convergence": ["convergence", "--repeats", "2", "--sizes", "20"],
+        "exchange-eval": ["exchange-eval", "--data", str(synthetic_series_file), "--batches", "2",
+                          "--samples", "10", "--dump-samples"],
+    }[command] + ["--out", str(out)]
+    run_ok([*argv, "--seed", "1"])
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert len(before) == {"convergence": 3, "exchange-eval": 6}[command]
+
+    def refuse(path, *args, **kwargs):
+        raise OSError(f"cannot write {Path(path).name}")
+
+    monkeypatch.setattr(reporting, writer, refuse)
+    assert main([*argv, "--seed", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    report = "convergence.csv" if command == "convergence" else "scores.csv"
+    assert read_report_csv(out / report)[0]["seed"] == "1"
+
+
 def test_config_outside_utf8_is_named(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_bytes(b'\xff{"seed": 1}')

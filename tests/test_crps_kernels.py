@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from scorecast.crps import ESTIMATORS, _crps_batch, _quantile, _sample
+from scorecast.crps import ESTIMATORS, _crps_batch, _quantile, _sample, crps_quantile
 
 
 def _quantile_reference(samples, x, n_quantiles=20):
@@ -125,3 +125,66 @@ def test_batch_shape_is_any_leading_shape(rng, estimator):
     ]
     assert got.shape == (2, 3)
     assert np.array_equal(got.reshape(6), flat)
+
+
+def _reference_rows(samples, obs, n_quantiles):
+    """``_quantile_reference`` of every row of a batch of any leading shape."""
+    flat = samples.reshape(-1, samples.shape[-1])
+    return np.reshape(_rows(_quantile_reference, flat, obs.reshape(-1), n_quantiles), obs.shape)
+
+
+@pytest.mark.parametrize("n_quantiles", [1, 7, 20])
+def test_quantile_kernel_matches_reference_on_a_sweep_step(rng, n_quantiles):
+    """A (30, 8, 400) batch, the shape of a ``sweep`` split's pointwise cells."""
+    samples = 1.5 + 0.01 * rng.standard_normal((30, 8, 400))
+    obs = 1.5 + 0.01 * rng.standard_normal((30, 8))
+    got = _quantile(samples, obs, n_quantiles)
+    assert got.shape == (30, 8)
+    assert np.array_equal(got, _reference_rows(samples, obs, n_quantiles))
+
+
+@pytest.mark.parametrize("samples", [
+    np.array([[0.3, -1.2], [2.0, 2.0]]),  # more levels than samples
+    np.full((2, 50), 3e-20),
+    np.full((2, 50), 1e8),
+    1.5 + 1e-12 * np.random.default_rng(1).standard_normal((3, 400)),
+    1.5 + 1e-20 * np.random.default_rng(2).standard_normal((3, 400)),
+], ids=["S2-N20", "constant-3e-20", "constant-1e8", "spread-1e-12", "spread-1e-20"])
+def test_quantile_kernel_matches_reference_on_degenerate_rows(samples):
+    """Constant rows and the sigma sweep's point-mass rows: spreads far below
+    one ulp of 1.5 leave ties and neighbouring floats."""
+    for obs in (samples[:, 0], samples[:, -1] + np.spacing(samples[:, -1]), samples.mean(axis=1)):
+        assert np.array_equal(_quantile(samples, obs, 20), _reference_rows(samples, obs, 20))
+
+
+@pytest.mark.parametrize("n_samples", [4, 400])
+def test_quantile_kernel_keeps_the_nan_rule(rng, n_samples):
+    """An entry holding NaN scores NaN as ``np.quantile`` has it, even where
+    no level reads the last order statistic (S >= 2N + 1); infinities score
+    as they do there."""
+    samples = rng.standard_normal((5, n_samples))
+    samples[0, 1] = np.nan
+    samples[1, 0] = np.inf
+    samples[2, 2] = np.inf
+    samples[2, 3] = -np.inf
+    samples[3, 1:3] = [np.nan, np.inf]
+    obs = rng.standard_normal(5)
+    with np.errstate(invalid="ignore"):
+        got = _quantile(samples, obs, 20)
+        want = _reference_rows(samples, obs, 20)
+    assert np.isnan(got[0]) and np.isnan(got[3])
+    assert np.isfinite(got[4])
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+def test_quantile_kernel_never_calls_np_quantile(rng, monkeypatch):
+    """The quantiles come from one sort, not from ``np.quantile``'s partitions."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.quantile called")
+
+    samples = rng.standard_normal((3, 40))
+    obs = rng.standard_normal(3)
+    want = _reference_rows(samples, obs, 20)
+    monkeypatch.setattr(np, "quantile", refuse)
+    assert np.array_equal(_quantile(samples, obs, 20), want)
+    assert crps_quantile(samples[0], obs[0]) == want[0]

@@ -245,3 +245,63 @@ def test_sigma_sweep_checks_every_sigma_before_scoring(splits, monkeypatch):
     monkeypatch.setattr(multivariate, "_energy_batch", unreachable)
     with pytest.raises(ValueError, match="sigma must be finite"):
         sigma_sweep("multivariate", [0.1, 0.01, float("nan")], splits, n_samples=8)
+
+
+@pytest.mark.parametrize("kind", DUMMY_KINDS)
+@pytest.mark.parametrize("sigma", [1e-20, 1e-12, 1e-2, 3.7])
+def test_dummy_forecast_is_a_normal_draw(kind, sigma):
+    """``loc + sigma * z`` is ``rng.normal(loc, sigma, size)`` on the same stream, bit for bit."""
+    window = 1.5 + np.random.default_rng(3).standard_normal((5, 8))
+    stream = np.random.SeedSequence(entropy=(9, 2))
+    cfg = DummyConfig(kind=kind, sigma=sigma, n_samples=50, seed=9)
+    got = make_dummy_forecast(window, 30, cfg, np.random.default_rng(stream))
+    loc = float(window[-1].mean()) if kind == "univariate" else window[-1]
+    want = np.random.default_rng(stream).normal(loc, sigma, size=(50, 30, 8))
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("kind", DUMMY_KINDS)
+@pytest.mark.parametrize("estimator", multivariate.ESTIMATORS)
+def test_sigma_sweep_rows_are_the_evaluations_at_each_sigma(splits, kind, estimator):
+    """One draw per split, scaled by each sigma, scores as a fresh evaluation
+    at that sigma, bit for bit."""
+    sigmas = [1e-2, 1e-12, 1e-20]
+    rows = sigma_sweep(kind, sigmas, splits, n_samples=40, seed=5, estimator=estimator)
+    for sigma, row in zip(sigmas, rows):
+        cfg = DummyConfig(kind=kind, sigma=sigma, n_samples=40, seed=5)
+        _, pooled = evaluate_dummy_on_splits(splits, cfg, estimator=estimator)
+        assert (row.sigma, row.crps_sum, row.crps, row.es) == (
+            sigma, pooled.crps_sum, pooled.crps_aggregate, pooled.energy_score
+        )
+
+
+@pytest.mark.parametrize("n_sigmas", [1, 4])
+def test_sigma_sweep_draws_once_per_split(splits, monkeypatch, n_sigmas):
+    streams = []
+    split_rng = forecasters._split_rng
+
+    def spy(*args):
+        streams.append(args)
+        return split_rng(*args)
+
+    monkeypatch.setattr(forecasters, "_split_rng", spy)
+    sigma_sweep("multivariate", [1e-3] * n_sigmas, splits, n_samples=8, seed=2)
+    assert streams == [(2, s.split_index) for s in splits]
+
+
+def test_each_split_is_validated_once(splits, monkeypatch):
+    """The split evaluation checks each ensemble once, not once per score."""
+    checked = []
+    as_ensemble = multivariate._as_ensemble
+
+    def spy(ensemble):
+        checked.append(1)
+        return as_ensemble(ensemble)
+
+    monkeypatch.setattr(forecasters, "_as_ensemble", spy)
+    monkeypatch.setattr(multivariate, "_as_ensemble", spy)
+    forecast_and_score_splits(splits, DummyConfig(n_samples=8))
+    assert len(checked) == len(splits)
+    checked.clear()
+    sigma_sweep("multivariate", [1e-3, 1e-4, 1e-5], splits, n_samples=8)
+    assert len(checked) == 3 * len(splits)

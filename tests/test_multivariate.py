@@ -441,6 +441,29 @@ def test_score_report_checks_beta_before_scoring(monkeypatch, beta):
         score_report(ens, np.zeros((3, 2)), beta=beta)
 
 
+@pytest.mark.parametrize("estimator", ESTIMATORS)
+def test_score_report_validates_once_and_matches_the_public_scores(window_case, monkeypatch,
+                                                                     estimator):
+    """One check of the ensemble, and the scores of the public functions bit for bit."""
+    ens, obs = window_case
+    want = (crps_matrix(ens, obs, estimator), crps_sum_series(ens, obs, estimator),
+            energy_series(ens, obs))
+    checked = []
+    as_ensemble = multivariate._as_ensemble
+
+    def spy(ensemble):
+        checked.append(1)
+        return as_ensemble(ensemble)
+
+    monkeypatch.setattr(multivariate, "_as_ensemble", spy)
+    rep = score_report(ens, obs, estimator=estimator)
+    assert len(checked) == 1
+    assert rep.crps_aggregate == want[0].mean()
+    assert rep.crps_sum == want[1].mean()
+    assert rep.energy_score == want[2].mean()
+    assert np.array_equal(rep.crps_per_dim, want[0].mean(axis=0))
+
+
 def test_score_report_perfect_forecast_all_zero():
     obs = np.array([[1.0, 2.0], [3.0, -1.0]])
     ens = np.broadcast_to(obs, (16, 2, 2)).copy()

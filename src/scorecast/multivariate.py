@@ -38,6 +38,10 @@ def _as_ensemble(ensemble: ArrayLike) -> NDArray[np.float64]:
         )
     if arr.shape[0] < 2:
         raise ValueError(f"need at least 2 sample paths, got {arr.shape[0]}")
+    if arr.shape[1] < 1:
+        raise ValueError(f"need at least 1 horizon step, got {arr.shape[1]}")
+    if arr.shape[2] < 1:
+        raise ValueError(f"need at least 1 dimension, got {arr.shape[2]}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("ensemble contains non-finite values")
     return arr
@@ -81,53 +85,66 @@ def _check_normalization(normalization: str) -> None:
         )
 
 
-# Doubles per row block of the ES pair term (512 KB, a core's share of L2): the
-# upper triangle of each window's (w, w) distances is formed ``_TILE // w`` rows
-# at a time, each block by one matmul over D + 2 columns.
+# Doubles per block of the ES pair term (512 KB, a core's share of L2).  A
+# block is a band of rows of the upper triangle of k windows' (w, w) distances,
+# each band and stack shaped by ``_bands(w)`` from w alone.
 _TILE = 1 << 16
 
 
-def _pair_gram(x: NDArray[np.float64], beta: float, work: NDArray[np.float64]) -> float:
-    """Mean pair distance of one window (w, D), from its upper triangle of
-    Gram products in row blocks held in ``work``.
+def _bands(w: int) -> tuple[int, int]:
+    """(r, k) for windows of w members: bands of r rows, stacks of k windows,
+    with k * r * w <= max(_TILE, w).  Narrow bands waste little of the block
+    on the r x r corner below the diagonal; deep stacks amortize the per-call
+    cost of small windows."""
+    r = max(1, min(_TILE // w, max(8, w // 16)))
+    return r, max(1, _TILE // (r * w))
+
+
+def _pair_gram(x: NDArray[np.float64], beta: float, work: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Mean pair distance of each window in a stack (k, w, D), from the upper
+    triangle of its Gram products in row bands held in ``work``: returns (k,).
 
     The members are centred on the first one, so that nearly equal members
     keep their differences exactly and a point mass gives exact zeros.
-    With ``left = [-2a | sq | 1]`` and ``right = [a | 1 | sq]`` (w, D + 2),
-    one matmul gives ``|a_i|**2 + |a_j|**2 - 2 a_i.a_j`` for rows [i, i + r)
-    and columns j >= i; the leading r x r square is summed once and the part
-    right of it twice.  When w <= 256 one block covers the window, and the
-    sum is that of the full (w, w) matrix.  The triangle keeps the precision
-    limit of the full Gram form, no better and no worse: two tight clusters
-    far apart lose ~eps * |a|**2 before the root, ~1e-9 relative at a
-    100 x 2 window of clusters 1000 apart.
+    With ``left = [-2a | sq | 1]`` (k, w, D + 2) and ``right = [a | 1 | sq]``
+    transposed to (k, D + 2, w), one stacked matmul gives
+    ``|a_i|**2 + |a_j|**2 - 2 a_i.a_j`` for rows [i, i + r) and columns
+    j >= i of every window.  The block is clamped at 0, and the diagonal and
+    the corner below it in the leading r x r square are zeroed, so each pair
+    is computed and rooted once; the mean over all w**2 pairs is twice the
+    triangle's sum over w**2.  Each window's sum is over its own contiguous
+    rows of the block, so a window scores the same bits in any stack.  The
+    triangle keeps the precision limit of the full Gram form, no better and
+    no worse: two tight clusters far apart lose ~eps * |a|**2 before the
+    root, ~1e-9 relative at a 100 x 2 window of clusters 1000 apart.
     """
-    w, d = x.shape
-    a = x - x[0]
-    sq = np.einsum("ij,ij->i", a, a)
-    left = np.empty((w, d + 2))
-    np.multiply(a, -2.0, out=left[:, :d])  # exact, so each product is -2 a_i.a_j to the last bit
-    left[:, d] = sq
-    left[:, d + 1] = 1.0
+    k, w, d = x.shape
+    a = x - x[:, :1]
+    sq = np.einsum("kij,kij->ki", a, a)
+    left = np.empty((k, w, d + 2))
+    np.multiply(a, -2.0, out=left[..., :d])  # exact, so each product is -2 a_i.a_j to the last bit
+    left[..., d] = sq
+    left[..., d + 1] = 1.0
     # C order: each block's columns j >= i are then a contiguous run of every row.
-    right = np.empty((d + 2, w))
-    right[:d] = a.T
-    right[d] = 1.0
-    right[d + 1] = sq
-    rows = max(1, _TILE // w)
-    total = 0.0
+    right = np.empty((k, d + 2, w))
+    right[:, :d] = a.transpose(0, 2, 1)
+    right[:, d] = 1.0
+    right[:, d + 1] = sq
+    rows = _bands(w)[0]
+    below = np.tri(rows, dtype=bool)  # the diagonal and the corner below it
+    total = np.zeros(k)
     for i in range(0, w, rows):
         r = min(rows, w - i)
-        blk = work[: r * (w - i)].reshape(r, w - i)
-        np.matmul(left[i : i + r], right[:, i:], out=blk)
+        blk = work[: k * r * (w - i)].reshape(k, r, w - i)
+        np.matmul(left[:, i : i + r], right[:, :, i:], out=blk)
         np.maximum(blk, 0.0, out=blk)
-        np.fill_diagonal(blk, 0.0)
+        np.copyto(blk[:, :, :r], 0.0, where=below[:r, :r])
         if beta == 1.0:
             np.sqrt(blk, out=blk)
         else:
             blk **= 0.5 * beta
-        total += blk[:, :r].sum() + 2.0 * blk[:, r:].sum()
-    return total / (w * w)
+        total += blk.reshape(k, -1).sum(axis=1)
+    return 2.0 * total / (w * w)
 
 
 def _energy_batch(
@@ -135,26 +152,31 @@ def _energy_batch(
 ) -> NDArray[np.float64]:
     """Energy scores for a batch: samples (n, w, D), obs (n, D) -> (n,).
 
-    Each window is scored alone.  Its pair term is the upper triangle of
+    The windows are scored in stacks of k = ``_bands(w)[1]``: the observation
+    term, then ``_pair_gram``'s upper triangle of
     ``|a_i|**2 + |a_j|**2 - 2 a_i.a_j`` over the members centred on the
-    first one, one matmul over D + 2 columns per block of ``_TILE // w``
-    rows, clamped at 0 and with the diagonal set to 0; it agrees with the
-    (w, w, D) difference form within 1e-13 relative.  All windows reuse one
-    tile, so no temporary grows with n or w**2, and a batch equals its
-    windows scored one by one, bit for bit.  A score that overflows is NaN,
-    never 0.
+    first one, one stacked matmul over D + 2 columns per band of rows,
+    clamped at 0 and with the diagonal set to 0, each pair computed once; it
+    agrees with the (w, w, D) difference form within 1e-13 of the
+    observation term.  Every
+    stack reuses one tile, so no temporary grows with n or w**2, and since
+    the stack shape depends on w alone and each window is reduced over its
+    own contiguous rows, a batch equals its windows scored one by one, bit
+    for bit.  A score that overflows is NaN, never 0.
     """
     n, w, _ = samples.shape
-    # Every window reuses this tile: a fresh 512 KB temporary per window, freed
+    k = _bands(w)[1]
+    # Every stack reuses this tile: a fresh 512 KB temporary per stack, freed
     # between small ones, made the allocator return and re-fault its pages.
     work = np.empty(max(_TILE, w))
     scores = np.empty(n)
-    for k in range(n):
-        x = samples[k]
-        obs_dist = np.linalg.norm(x - obs[k], axis=1)
+    for s in range(0, n, k):
+        # C order: a strided caller's view would change the order of the means.
+        x = np.ascontiguousarray(samples[s : s + k])
+        obs_dist = np.linalg.norm(x - obs[s : s + k, None], axis=-1)
         if beta != 1.0:
             obs_dist **= beta
-        scores[k] = obs_dist.mean() - 0.5 * _pair_gram(x, beta, work)
+        scores[s : s + k] = obs_dist.mean(axis=1) - 0.5 * _pair_gram(x, beta, work)
     return _nonnegative(scores)
 
 
@@ -175,6 +197,8 @@ def energy_score(samples: ArrayLike, obs: ArrayLike, beta: float = 1.0) -> float
         raise ValueError(f"samples must have shape (S, D), got {s.shape}")
     if s.shape[0] < 2:
         raise ValueError(f"need at least 2 sample paths, got {s.shape[0]}")
+    if s.shape[1] < 1:
+        raise ValueError(f"need at least 1 dimension, got {s.shape[1]}")
     x = np.asarray(obs, dtype=np.float64).reshape(-1)
     if x.shape[0] != s.shape[1]:
         raise ValueError(f"observation has {x.shape[0]} dims, samples have {s.shape[1]}")
@@ -190,7 +214,7 @@ def energy_score(samples: ArrayLike, obs: ArrayLike, beta: float = 1.0) -> float
 def _energy_steps(
     ens: NDArray[np.float64], window: NDArray[np.float64], beta: float
 ) -> NDArray[np.float64]:
-    # A view: ``x - x[0]`` in the kernel makes each step's window contiguous.
+    # A view: the kernel copies each stack of steps to C order.
     return _energy_batch(ens.transpose(1, 0, 2), window, beta)
 
 

@@ -21,7 +21,7 @@ from scorecast import (
 )
 from scorecast.cli import build_parser
 from scorecast.crps import _crps_batch
-from scorecast.multivariate import ESTIMATORS, ScoreReport, _energy_batch
+from scorecast.multivariate import ESTIMATORS, ScoreReport, _bands, _energy_batch
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +117,22 @@ def test_energy_score_shape_validation():
         energy_score(np.array([[0.0, np.nan], [1.0, 2.0]]), np.zeros(2))
 
 
+@pytest.mark.parametrize("call, args", [
+    (energy_score_window, ((3, 0, 2), (0, 2))),
+    (crps_sum, ((3, 0, 2), (0, 2))),
+    (score_report, ((3, 0, 2), (0, 2))),
+    (crps_sum, ((3, 2, 0), (2, 0))),
+    (score_report, ((3, 2, 0), (2, 0))),
+    (energy_score, ((3, 0), (0,))),
+], ids=["es-window-H0", "crps-sum-H0", "report-H0", "crps-sum-D0", "report-D0", "es-D0"])
+def test_empty_forecast_rejected(call, args):
+    """No horizon step or no dimension is an error, not a NaN with a
+    RuntimeWarning or a score of 0."""
+    ens_shape, obs_shape = args
+    with pytest.raises(ValueError, match="need at least 1 (horizon step|dimension), got 0"):
+        call(np.zeros(ens_shape), np.zeros(obs_shape))
+
+
 def _energy_direct(samples, obs, beta=1.0):
     """Reference ES: norms over the whole (S, S, D) array of pair differences."""
     obs_dist = np.linalg.norm(samples - obs, axis=1)
@@ -136,8 +152,9 @@ def _energy_three_ways(ens, obs, beta):
     )
 
 
-# Every window takes the Gram form, its upper triangle in row blocks of
-# 65536 // S rows when S > 256.  The cases include a w = 8 window, windows on
+# Every window takes the Gram form, its upper triangle in bands of
+# ``_bands(S)[0]`` rows (8 up to 128 members, S // 16 up to 512, then
+# 65536 // S).  The cases include a w = 8 window, windows on
 # the lines x2 = +x1 and x2 = -x1 (data correlation +-1), the paper's 512
 # members (4 blocks of 128), 257 members (a last block of 2 x 2) and 1000
 # members (16 blocks, the last one short).  Largest relative deviation from
@@ -164,6 +181,31 @@ def test_energy_kernel_matches_direct_form(S, D, beta, line):
     want = np.array([_energy_direct(ens[:, t], obs[t], beta) for t in range(3)])
     for got in _energy_three_ways(ens, obs, beta):
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("beta", [1.0, 1.5])
+@pytest.mark.parametrize("D", [1, 2, 8])
+@pytest.mark.parametrize("w", [2, 3, 8, 128, 129, 256, 257, 400])
+def test_energy_stacks_match_direct_form(w, D, beta):
+    """A batch of a few more windows than one stack holds, given as the
+    strided (n, w, D) view of an (w, n, D) ensemble, as ``energy_series``
+    passes it: every window within 1e-13 of the difference form, relative
+    to its observation term, and the view scored as its C-order copy, bit
+    for bit.  The scale is the observation term, not the score: a window
+    with two members 2.6e-4 apart (w = 8, D = 1, window 558) is 1.2e-13
+    off relative to its score of 0.27, as the Gram form of one window alone
+    always was, since the root of a near-zero Gram distance carries an
+    error of ~eps * |a|**2 over the members' gap."""
+    n = _bands(w)[1] + 3
+    gen = np.random.default_rng(w * 10 + D)
+    ens = gen.standard_normal((w, n, D))
+    obs = gen.standard_normal((n, D))
+    view = ens.transpose(1, 0, 2)
+    got = _energy_batch(view, obs, beta)
+    want = np.array([_energy_direct(ens[:, i], obs[i], beta) for i in range(n)])
+    scale = (np.linalg.norm(view - obs[:, None], axis=2) ** beta).mean(axis=1)
+    assert np.all(np.abs(got - want) <= 1e-13 * scale)
+    assert np.array_equal(got, _energy_batch(np.ascontiguousarray(view), obs, beta))
 
 
 @pytest.mark.parametrize("D", [2, 3, 8])
@@ -226,7 +268,8 @@ def test_energy_overflow_is_nan_not_zero():
         assert np.array_equal(series, [es], equal_nan=True)
 
 
-@pytest.mark.parametrize("shape", [(1, 3000, 2), (1, 3000, 3), (1, 3000, 8), (2000, 128, 2)])
+@pytest.mark.parametrize("shape", [(1, 3000, 2), (1, 3000, 3), (1, 3000, 8), (2000, 128, 2),
+                                   (4096, 128, 2), (64, 512, 2)])
 def test_energy_kernel_memory_is_bounded(shape):
     """A 3000-member window is scored in row blocks of at most _TILE doubles,
     never through its 72 MB (w, w) distance matrix, and a batch of many

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from scorecast import simulation
+from scorecast import multivariate, simulation
 from scorecast.cli import main
 from scorecast.reporting import table
 from scorecast.simulation import (
@@ -124,12 +124,25 @@ def test_energy_batch_matches_scalar_calls(rng):
 
 def test_energy_batch_chunking_is_invisible(rng):
     """A batch scores each window exactly as a batch of that window alone:
-    one Gram block per window (w=15) and Gram row blocks (w=300)."""
+    one stack of short bands (w=15) and a stack of two windows (w=300)."""
     for w, D in ((15, 2), (15, 3), (300, 2), (300, 3)):
         samples = rng.standard_normal((10, w, D))
         obs = rng.standard_normal((10, D))
         alone = [_energy_batch(samples[i : i + 1], obs[i : i + 1])[0] for i in range(10)]
         np.testing.assert_array_equal(_energy_batch(samples, obs), alone)
+
+
+@pytest.mark.parametrize("w", [2, 128, 400, 2000])
+def test_energy_stack_equals_windows_alone(w):
+    """A few windows more than one stack: the last, short stack and every
+    full one score each window as it scores alone, bit for bit."""
+    gen = np.random.default_rng(w)
+    n = multivariate._bands(w)[1] + 2
+    samples = gen.standard_normal((n, w, 2))
+    obs = gen.standard_normal((n, 2))
+    for beta in (1.0, 1.5):
+        alone = [_energy_batch(samples[i : i + 1], obs[i : i + 1], beta)[0] for i in range(n)]
+        np.testing.assert_array_equal(_energy_batch(samples, obs, beta), alone)
 
 
 def test_energy_batch_general_beta(rng):
@@ -151,6 +164,31 @@ def test_cell_scores_deterministic_and_sane():
     assert a.crps_sum_mean > 0 and a.es_mean > 0
     assert a.crps_sum_stderr > 0 and a.es_stderr > 0
     assert (a.n_windows, a.window_size) == (128, 32)
+
+
+@pytest.mark.parametrize("rho", [-1.0, 0.4])
+@pytest.mark.parametrize("varrho", [-1.0, -0.3, 0.5, 1.0])
+def test_cell_matches_a_fresh_reference(rho, varrho):
+    """The cell's cached factors and two-column sum give the same CRPS-Sum
+    (and ES) bits as fresh factors and ``sum(axis=2)``."""
+    n, w = 96, 32
+    cell = run_sensitivity_cell(rho, varrho, n, w, seed=5)
+    rng = np.random.default_rng(5)
+    obs = rng.standard_normal((n, 2)) @ bivariate_correlation_spec(rho).factor().T
+    z = rng.standard_normal((n, w, 2))
+    samples = z @ bivariate_correlation_spec(varrho).factor().T
+    cs = _crps_quantile_batch(samples.sum(axis=2), obs.sum(axis=1), 20)
+    es = _energy_batch(samples, obs)
+    assert cell.crps_sum_mean == float(cs.mean())
+    assert cell.crps_sum_stderr == float(cs.std(ddof=1) / math.sqrt(n))
+    assert cell.es_mean == float(es.mean())
+
+
+def test_cached_factor_is_read_only():
+    factor = simulation._bivariate_factor(0.4)
+    assert np.array_equal(factor, bivariate_correlation_spec(0.4).factor())
+    with pytest.raises(ValueError):
+        factor[0, 0] = 1.0
 
 
 def test_mismatched_model_scores_worse():

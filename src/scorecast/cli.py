@@ -270,6 +270,8 @@ def _cmd_sigma_sweep(effective: dict) -> _Run:
         {"sigma_sweep.csv": reporting.table(forecasters.SigmaSweepRow, rows)},
         {"sigma_sweep.json": {"rows": [asdict(r) for r in rows]}},
         f"sigma-sweep[{effective['kind']}]: {len(rows)} noise scales",
+        # The sweep maps one scoring per (sigma, split) over this many workers.
+        facts={"workers": simulation._workers(len(rows) * len(splits))},
     )
 
 

@@ -36,7 +36,7 @@ from .multivariate import (
     _report,
     _scores,
 )
-from .simulation import RngLike
+from .simulation import RngLike, _fork_map, _workers
 
 __all__ = [
     "DummyConfig",
@@ -254,7 +254,9 @@ def sigma_sweep(
     stream, and every sigma scores ``loc + sigma * z``: the ensembles of
     ``evaluate_dummy_on_splits`` at that sigma, bit for bit.  So score
     differences across the sweep reflect the noise scale alone.  Every
-    sigma is checked before the first one is scored.
+    sigma is checked before the first one is scored.  The draws are made
+    here, in split order; the (sigma, split) scorings run over one worker
+    per CPU (``simulation._fork_map``), with the same rows for any count.
     """
     configs = [DummyConfig(kind=kind, sigma=sigma, n_samples=n_samples, seed=seed)
                for sigma in sigma_list]
@@ -262,15 +264,21 @@ def sigma_sweep(
         return []
     beta = _check_scoring(splits, estimator, n_quantiles, beta, normalization)
     first = configs[0]  # the checked kind, ensemble size and seed
-    scored = [[] for _ in configs]  # per sigma: (mat, cs, es, window) per split
-    for split in splits:
-        loc, z = _draw(split.input_window, split.target_window.shape[0], first.kind,
-                       first.n_samples, _split_rng(first.seed, split.split_index))
-        for cfg, parts in zip(configs, scored):
-            parts.append(_score_split(loc + cfg.sigma * z, split.target_window, estimator,
-                                      n_quantiles, beta))
+    draws = [_draw(split.input_window, split.target_window.shape[0], first.kind,
+                   first.n_samples, _split_rng(first.seed, split.split_index))
+             for split in splits]
+
+    def score(task: tuple[float, int]) -> tuple:
+        sigma, k = task
+        loc, z = draws[k]
+        return _score_split(loc + sigma * z, splits[k].target_window, estimator, n_quantiles,
+                            beta)
+
+    tasks = [(cfg.sigma, k) for cfg in configs for k in range(len(splits))]
+    scored = _fork_map(score, tasks, _workers(len(tasks)))  # (mat, cs, es, window) per task
     rows = []
-    for cfg, parts in zip(configs, scored):
+    for i, cfg in enumerate(configs):
+        parts = scored[i * len(splits):(i + 1) * len(splits)]
         pooled = _pool(parts, normalization, estimator, n_quantiles, cfg.seed)
         rows.append(SigmaSweepRow(sigma=cfg.sigma, crps_sum=pooled.crps_sum,
                                   crps=pooled.crps_aggregate, es=pooled.energy_score))

@@ -105,7 +105,8 @@ def _pair_gram(x: NDArray[np.float64], beta: float, work: NDArray[np.float64]) -
     triangle of its Gram products in row bands held in ``work``: returns (k,).
 
     The members are centred on the first one, so that nearly equal members
-    keep their differences exactly and a point mass gives exact zeros.
+    keep their differences exactly and a point mass gives exact zeros; a
+    stack of point masses skips the bands.
     With ``left = [-2a | sq | 1]`` (k, w, D + 2) and ``right = [a | 1 | sq]``
     transposed to (k, D + 2, w), one stacked matmul gives
     ``|a_i|**2 + |a_j|**2 - 2 a_i.a_j`` for rows [i, i + r) and columns
@@ -120,6 +121,8 @@ def _pair_gram(x: NDArray[np.float64], beta: float, work: NDArray[np.float64]) -
     """
     k, w, d = x.shape
     a = x - x[:, :1]
+    if not a.any():  # every window a point mass: the bands below would give +0.0
+        return np.zeros(k)
     sq = np.einsum("kij,kij->ki", a, a)
     left = np.empty((k, w, d + 2))
     np.multiply(a, -2.0, out=left[..., :d])  # exact, so each product is -2 a_i.a_j to the last bit

@@ -13,9 +13,12 @@ from __future__ import annotations
 import functools
 import math
 import os
+import pickle
+import signal
+import sys
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Callable, NoReturn, Optional, Sequence, Union
 
 import numpy as np
 from numpy.typing import NDArray
@@ -299,11 +302,97 @@ def _delta(mean: float, ref: float) -> float:
     return relative_change(mean, ref) if ref > 0.0 else float("nan")
 
 
-def _workers(n_cells: int) -> int:
+def _workers(n_tasks: int) -> int:
     """One worker process per CPU this process may run on, at most one per
-    cell; one where the platform does not tell the CPUs apart."""
+    task; one where the platform does not tell the CPUs apart."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    return min(cpus, n_cells)
+    return min(cpus, n_tasks)
+
+
+def _fork_map(fn: Callable, items: Sequence, workers: int) -> list:
+    """``list(map(fn, items))`` over ``workers`` processes, in item order.
+
+    This process runs items 0, n, 2n, ... of n = ``workers``; each of the
+    n - 1 forked children runs its own stride of the same items and sends its
+    results back pickled through a pipe, so neither ``fn`` nor an item is
+    ever pickled.  With one worker nothing is forked.  An exception raised in
+    a child is raised here, with its type and message; a child that ends
+    without a readable result is a RuntimeError naming its exit status.  No
+    child outlives the call: on an error the read ends are closed, so that a
+    child blocked writing gets EPIPE, and each child is terminated and waited
+    for.  A child whose parent has died stops before its next item.
+    """
+    if workers <= 1:
+        return list(map(fn, items))
+    sys.stdout.flush()  # else a child's copy of a buffer could be written twice
+    sys.stderr.flush()
+    parent = os.getpid()
+    children: list[tuple[int, int]] = []  # (pid, read end), in stride order
+    waited = 0  # children read to the end and waited for, from the first
+    try:
+        for stride in range(1, workers):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _run_stride(fn, items[stride::workers], parent, write,
+                                [read, *(r for _, r in children)])
+            except BaseException:
+                os.close(read)
+                raise
+            finally:
+                os.close(write)
+            children.append((pid, read))
+        results: list = [None] * len(items)
+        results[::workers] = [fn(item) for item in items[::workers]]
+        for stride, (pid, read) in enumerate(children, 1):
+            chunks = []
+            while chunk := os.read(read, 1 << 16):
+                chunks.append(chunk)
+            status = os.waitpid(pid, 0)[1]
+            waited = stride
+            try:
+                ok, value = pickle.loads(b"".join(chunks))
+            except Exception:
+                raise RuntimeError(
+                    f"worker {pid} exited with status {os.waitstatus_to_exitcode(status)} "
+                    "without a readable result"
+                ) from None
+            if not ok:
+                raise value
+            results[stride::workers] = value
+        return results
+    finally:
+        for _, read in children:
+            os.close(read)
+        for pid, _ in children[waited:]:
+            os.kill(pid, signal.SIGTERM)
+            os.waitpid(pid, 0)
+
+
+def _run_stride(fn: Callable, items: Sequence, parent: int, write: int,
+                reads: list[int]) -> NoReturn:
+    """A forked child's whole life: ``fn`` over its items, then the pickled
+    ``(True, results)`` or ``(False, exception)`` written to ``write``; it
+    ends with ``os._exit``, so nothing of the parent's runs on its way out."""
+    status = 1
+    try:
+        for read in reads:  # its own read end and its elder siblings'
+            os.close(read)
+        try:
+            results = []
+            for item in items:
+                if os.getppid() != parent:
+                    return  # an orphan: its results have no reader
+                results.append(fn(item))
+            payload = pickle.dumps((True, results))
+        except BaseException as exc:  # raised again in the parent
+            payload = pickle.dumps((False, exc))
+        with open(write, "wb") as pipe:
+            pipe.write(payload)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _timed_cell(task: tuple[SensitivityConfig, int, int]) -> tuple[CellScores, float]:
@@ -324,18 +413,7 @@ def _run_grid(config: SensitivityConfig) -> tuple[SensitivityGridReport, dict]:
     tasks = [(config, i, j)
              for i in range(len(config.rho_list)) for j in range(len(config.varrho_list))]
     workers = _workers(len(tasks))
-    if workers == 1:
-        timed = list(map(_timed_cell, tasks))
-    else:
-        # Imported here, not with the module: the CLI's start-up never needs it.
-        import multiprocessing
-
-        # chunksize=1: a worker whose parent died exits after its current cell.
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            timed = pool.map(_timed_cell, tasks, chunksize=1)
-            pool.close()
-            pool.join()
-    scores, seconds = zip(*timed)
+    scores, seconds = zip(*_fork_map(_timed_cell, tasks, workers))
 
     report = SensitivityGridReport(config=config)
     n_cols = len(config.varrho_list)
@@ -373,9 +451,9 @@ def _run_grid(config: SensitivityConfig) -> tuple[SensitivityGridReport, dict]:
 def run_sensitivity_grid(config: SensitivityConfig) -> SensitivityGridReport:
     """Run every (rho, varrho) cell and attach relative changes.
 
-    The cells run over one forked worker process per CPU (in this process
-    when that is one), each on its own stream, so the report is the same for
-    any worker count.  The reference for each data correlation rho is its
+    The cells run over one worker per CPU, this process and forked children
+    (``_fork_map``), each cell on its own stream, so the report is the same
+    for any worker count.  The reference for each data correlation rho is its
     matched-model cell varrho == rho (the last such column).  The relative
     change of the reference cell itself is 0 by construction; when a
     reference mean is not strictly positive (a degenerate summed signal at

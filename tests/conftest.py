@@ -1,4 +1,5 @@
 """Shared fixtures and helpers for the scorecast test suite."""
+import os
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,12 @@ def read_report_csv(path):
         else:
             rows.append(cells)
     return meta, header, rows
+
+
+def assert_no_children():
+    """No child of this process is left, running or unwaited-for."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture

@@ -499,6 +499,24 @@ def test_sigma_sweep_rerun_is_byte_identical(tmp_path, synthetic_series_file):
         assert (out / name).read_bytes() == payload
 
 
+def test_sigma_sweep_manifest_records_its_workers(tmp_path, synthetic_series_file, monkeypatch):
+    """The manifest's count is the one the sweep's map ran with."""
+    mapped = []
+    fork_map = forecasters._fork_map
+
+    def spy(fn, items, workers):
+        mapped.append(workers)
+        return fork_map(fn, items, workers)
+
+    monkeypatch.setattr(forecasters, "_fork_map", spy)
+    out = tmp_path / "sweep"
+    run_ok(["sigma-sweep", "--data", str(synthetic_series_file), "--sigmas", "1e-3,1e-4",
+            *EVAL_ARGS, "--out", str(out)])
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert mapped == [manifest["workers"]]
+    assert manifest["workers"] == simulation._workers(2 * 2)
+
+
 def test_report_csv_headers_are_the_json_row_keys(tmp_path, synthetic_series_file):
     """Each table's columns are its JSON rows' keys, in the same order; the
     JSON score rows add only the per-dimension CRPS."""

@@ -1,10 +1,12 @@
 """Dummy persistence-style forecasters, split evaluation, and the noise sweep."""
+import os
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from scorecast import forecasters, multivariate
+from scorecast.cli import main
 from scorecast.data import make_rolling_splits
 from scorecast.forecasters import (
     DEFAULT_SIGMA_LIST,
@@ -16,6 +18,8 @@ from scorecast.forecasters import (
     make_dummy_forecast,
     sigma_sweep,
 )
+
+from conftest import assert_no_children
 
 
 @pytest.fixture
@@ -303,5 +307,46 @@ def test_each_split_is_validated_once(splits, monkeypatch):
     forecast_and_score_splits(splits, DummyConfig(n_samples=8))
     assert len(checked) == len(splits)
     checked.clear()
+    # One worker, so that every check is made in this process, where it is counted.
+    monkeypatch.setattr(forecasters, "_workers", lambda n_tasks: 1)
     sigma_sweep("multivariate", [1e-3, 1e-4, 1e-5], splits, n_samples=8)
     assert len(checked) == 3 * len(splits)
+
+
+@pytest.mark.parametrize("kind", DUMMY_KINDS)
+def test_sigma_sweep_is_the_same_for_any_worker_count(splits, synthetic_series_file, monkeypatch,
+                                                      tmp_path, kind):
+    """The rows, bit for bit, and the CLI's report bytes are the same in one
+    process and over two or three workers; no worker outlives the sweep."""
+    rows, reports = {}, {}
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(forecasters, "_workers", lambda n_tasks, w=workers: w)
+        rows[workers] = repr(sigma_sweep(kind, [1e-2, 1e-7, 1e-20], splits, n_samples=24,
+                                         seed=4, estimator="sample"))
+        assert_no_children()
+        # One --out for every run: the reports echo it.
+        assert main(["sigma-sweep", "--data", str(synthetic_series_file), "--kind", kind,
+                     "--sigmas", "1e-2,1e-9,1e-20", "--batches", "2", "--samples", "40",
+                     "--seed", "3", "--out", str(tmp_path)]) == 0
+        reports[workers] = {name: (tmp_path / name).read_bytes()
+                            for name in ("sigma_sweep.csv", "sigma_sweep.json")}
+        assert_no_children()
+    assert rows[1] == rows[2] == rows[3]
+    assert reports[1] == reports[2] == reports[3]
+
+
+def test_an_error_in_a_sweep_worker_reaches_the_caller(splits, monkeypatch):
+    caller = os.getpid()
+    score_split = forecasters._score_split
+
+    def failing(ensemble, *args):
+        if os.getpid() != caller:
+            raise ValueError(f"scoring failed in process {os.getpid()}")
+        return score_split(ensemble, *args)
+
+    monkeypatch.setattr(forecasters, "_score_split", failing)
+    monkeypatch.setattr(forecasters, "_workers", lambda n_tasks: 2)
+    with pytest.raises(ValueError, match="scoring failed in process") as info:
+        sigma_sweep("multivariate", [1e-3, 1e-4], splits, n_samples=8)
+    assert int(str(info.value).rsplit(" ", 1)[1]) != caller  # raised in a worker
+    assert_no_children()

@@ -231,6 +231,28 @@ def test_energy_constant_ensemble_has_zero_pair_term(S, D):
         assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("w", [128, 400])
+@pytest.mark.parametrize("beta", [1.0, 1.5])
+def test_point_mass_window_scores_the_same_in_a_mixed_stack(w, beta):
+    """A stack of point masses skips the pair bands; a point mass in a stack
+    with spread windows goes through them.  Both give the same bits, and a
+    pair term of +0.0."""
+    gen = np.random.default_rng(w)
+    n = _bands(w)[1] + 1  # one full stack and a short one
+    samples = 1.5 + 1e-3 * gen.standard_normal((n, w, 8))
+    obs = gen.standard_normal((n, 8))
+    for i in (0, n - 1):  # in the full stack, and alone in the short one
+        samples[i] = samples[i, 0]
+    mixed = _energy_batch(samples, obs, beta)
+    work = np.empty(max(multivariate._TILE, w))
+    for i in (0, n - 1):
+        alone = _energy_batch(samples[i : i + 1], obs[i : i + 1], beta)
+        assert np.array_equal(mixed[i : i + 1], alone)
+        pair = multivariate._pair_gram(samples[i : i + 1], beta, work)
+        assert np.array_equal(pair, [0.0]) and not np.signbit(pair[0])
+    assert np.array_equal(multivariate._pair_gram(samples[:2], beta, work)[:1], [0.0])
+
+
 def test_energy_gram_form_resolves_a_tiny_spread():
     """(ES(sigma) - ES(c)) / sigma at sigma = 1e-12 around c ~ 1.5 matches the
     direct form: the Gram form subtracts a member, whose differences to the

@@ -1,9 +1,11 @@
 """Correlated sampling, the sensitivity grid, and the convergence study."""
+import contextlib
 import math
-import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -28,6 +30,8 @@ from scorecast.simulation import (
     run_sensitivity_grid,
 )
 from scorecast import crps_quantile, energy_score
+
+from conftest import assert_no_children
 
 
 # ---------------------------------------------------------------------------
@@ -267,23 +271,23 @@ def test_grid_is_the_same_for_any_worker_count(micro_grid, monkeypatch, tmp_path
         monkeypatch.setattr(simulation, "_workers", lambda n_cells, w=workers: w)
         report, facts = simulation._run_grid(cfg)
         assert facts["workers"] == workers
-        assert multiprocessing.active_children() == []
+        assert_no_children()
         cells[workers] = repr(report.cells)  # shortest round-trip floats: bit for bit
         # One --out for every run: the reports echo it.
         assert main(["sensitivity", "--n-windows", "6", "--window-size", "5",
                      "--seed", "3", "--out", str(tmp_path)]) == 0
         reports[workers] = {name: (tmp_path / name).read_bytes()
                             for name in ("sensitivity.csv", "sensitivity.json")}
-        assert multiprocessing.active_children() == []
+        assert_no_children()
     assert cells[1] == cells[2] == cells[3]
     assert reports[1] == reports[2] == reports[3]
 
 
 def test_one_cell_grid_starts_no_pool(monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a worker pool was started for one cell")
+    def no_fork(*args, **kwargs):
+        raise AssertionError("a worker was forked for one cell")
 
-    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+    monkeypatch.setattr(os, "fork", no_fork)
     cfg = SensitivityConfig(rho_list=(0.0,), varrho_list=(0.0,), n_windows=16, window_size=8)
     report, facts = simulation._run_grid(cfg)
     assert facts["workers"] == 1
@@ -304,16 +308,138 @@ def test_a_cell_error_in_a_worker_reaches_the_caller(micro_grid, monkeypatch):
     with pytest.raises(ValueError, match="cell failed in process") as info:
         run_sensitivity_grid(cfg)
     assert int(str(info.value).rsplit(" ", 1)[1]) != os.getpid()  # raised in a worker
-    assert multiprocessing.active_children() == []
+    assert_no_children()
 
 
 def test_cli_start_up_does_not_import_multiprocessing():
-    """The pool's module is imported where the pool is made, so the CLI's
-    start-up does not pay for it."""
-    code = "import sys, scorecast.cli; print('multiprocessing' in sys.modules)"
+    """The library forks its workers itself, so neither the CLI's start-up
+    nor a map over two workers imports ``multiprocessing``."""
+    code = ("import sys, scorecast.cli; from scorecast import simulation; "
+            "assert simulation._fork_map(abs, [-1, -2, -3], 2) == [1, 2, 3]; "
+            "print('multiprocessing' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True)
     assert proc.stdout.strip() == "False"
+
+
+# ---------------------------------------------------------------------------
+# the fork map under the grid and the sigma sweep
+# ---------------------------------------------------------------------------
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in this process after ``seconds``, rather than hang."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 5])
+@pytest.mark.parametrize("n_items", [0, 1, 7])
+def test_fork_map_is_map_in_item_order(workers, n_items):
+    """Items 0, n, 2n, ... run in this process and the rest in children."""
+    items = [(k, -k) for k in range(n_items)]
+    got = simulation._fork_map(lambda item: (item, os.getpid()), items, workers)
+    assert [item for item, _ in got] == items
+    for k, (_, pid) in enumerate(got):
+        assert (pid == os.getpid()) == (k % workers == 0)
+    assert_no_children()
+
+
+def test_fork_map_raises_while_a_sibling_blocks_on_a_large_result():
+    """A child stuck writing more than a pipe holds does not keep the error
+    of another child from reaching the caller."""
+    def fn(k):
+        if k == 1:
+            raise ValueError("item 1 failed")
+        return bytes(2 << 20) if k == 2 else k
+
+    with _deadline(30), pytest.raises(ValueError, match="^item 1 failed$"):
+        simulation._fork_map(fn, range(3), 3)
+    assert_no_children()
+
+
+def test_fork_map_stops_its_children_when_this_process_fails():
+    def fn(k):
+        if k == 0:
+            raise KeyError("item 0")
+        time.sleep(60)
+
+    with _deadline(30), pytest.raises(KeyError, match="item 0"):
+        simulation._fork_map(fn, range(2), 2)
+    assert_no_children()
+
+
+def test_fork_map_names_the_status_of_a_child_without_a_result():
+    with pytest.raises(RuntimeError, match="exited with status 3 without a readable result"):
+        simulation._fork_map(lambda k: os._exit(3) if k == 3 else k, range(4), 2)
+    assert_no_children()
+
+
+def _refuse():
+    raise ValueError("cannot be read back")
+
+
+class _Unreadable:
+    """Pickles, but raises when unpickled."""
+
+    def __reduce__(self):
+        return (_refuse, ())
+
+
+def test_fork_map_yields_nothing_of_an_unreadable_result():
+    with pytest.raises(RuntimeError, match="exited with status 0 without a readable result"):
+        simulation._fork_map(lambda k: _Unreadable() if k == 3 else k, range(4), 2)
+    assert_no_children()
+
+
+def test_an_orphaned_child_stops_before_its_next_item(tmp_path):
+    """A child whose parent has died runs no further item of its stride."""
+    log = tmp_path / "items.log"
+    code = f"""
+import os, time
+from scorecast import simulation
+
+def fn(k):
+    if k == 0:  # this process: wait for the child's first item, then die
+        while not os.path.exists({str(log)!r}):
+            time.sleep(0.01)
+        os._exit(0)
+    with open({str(log)!r}, "a") as fh:
+        fh.write(f"{{k}}\\n")
+    time.sleep(1.0)
+
+simulation._fork_map(fn, range(10), 2)
+"""
+    # The child holds the captured output open, so this returns when it ends.
+    subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=60, check=True)
+    assert log.read_text() == "1\n"
+
+
+def test_fork_map_forks_on_one_thread_without_a_warning():
+    """Python 3.12+ warns when a process that runs threads forks.  With one
+    BLAS thread, numpy starts none, so a map over two workers forks from a
+    single-threaded process and warns nothing, even with warnings as errors."""
+    code = (
+        "import numpy as np; from scorecast import simulation\n"
+        "np.ones((300, 300)) @ np.ones((300, 300))\n"
+        "def threads(k):\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        return int(fh.read().split('Threads:')[1].split()[0])\n"
+        "print(simulation._fork_map(threads, range(2), 2))\n"
+    )
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("no /proc to count threads in")
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", code], capture_output=True,
+                          text=True, check=True, env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+    assert (proc.stdout, proc.stderr) == ("[1, 1]\n", "")
 
 
 def test_grid_rows_match_csv_columns(micro_grid):

@@ -30,11 +30,9 @@ from .forecasters import (
 from .multivariate import (
     ScoreReport,
     crps_matrix,
-    crps_per_dimension,
     crps_sum,
     crps_sum_series,
     energy_score,
-    energy_score_window,
     energy_series,
     score_report,
 )
@@ -56,12 +54,10 @@ __all__ = [
     "crps_sample_estimate",
     "crps_gaussian_analytic",
     "energy_score",
-    "energy_score_window",
     "energy_series",
     "crps_sum",
     "crps_sum_series",
     "crps_matrix",
-    "crps_per_dimension",
     "score_report",
     "ScoreReport",
     "GaussianSpec",

@@ -42,8 +42,9 @@ import numpy as np
 
 from . import __version__, forecasters, reporting, simulation
 from ._rowloop import dump_rows
+from .crps import ESTIMATORS
 from .data import _loadtxt, _plain_lines, load_exchange_rate, load_multivariate_csv, make_rolling_splits
-from .multivariate import ESTIMATORS, NORMALIZATION_MODES, ScoreReport, score_report
+from .multivariate import NORMALIZATION_MODES, ScoreReport, score_report
 
 
 class CliError(Exception):

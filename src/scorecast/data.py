@@ -10,7 +10,7 @@ from __future__ import annotations
 import gzip
 import warnings
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
@@ -32,10 +32,9 @@ EXCHANGE_RATE_DIMS = 8
 
 @dataclass
 class MultivariateSeries:
-    """A (T, D) array of aligned scalar series with dimension labels."""
+    """A (T, D) array of aligned scalar series."""
 
     values: NDArray[np.float64]
-    dim_names: list[str] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -43,28 +42,10 @@ class MultivariateSeries:
             raise ValueError(f"series values must be 2-D (T, D), got {self.values.shape}")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("series contains non-finite values")
-        d = self.values.shape[1]
-        if not self.dim_names:
-            self.dim_names = [f"dim_{i}" for i in range(d)]
-        if len(self.dim_names) != d:
-            raise ValueError(
-                f"{len(self.dim_names)} dim_names for {d} columns"
-            )
 
     @property
     def length(self) -> int:
         return self.values.shape[0]
-
-    @property
-    def n_dims(self) -> int:
-        return self.values.shape[1]
-
-    def save(self, path: Union[str, Path]) -> None:
-        """Write the series back to headerless CSV with round-trip precision."""
-        path = Path(path)
-        with open(path, "w", encoding="ascii") as fh:
-            for row in self.values:
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
 def _lines(path: Path):

@@ -74,15 +74,6 @@ class DummyConfig:
             raise ValueError("seed must be non-negative")
 
 
-def _check_input_window(input_window) -> NDArray[np.float64]:
-    arr = np.asarray(input_window, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] < 1:
-        raise ValueError(f"input window must be (steps, dims) with >= 1 row, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("input window contains non-finite values")
-    return arr
-
-
 def make_dummy_forecast(
     input_window,
     horizon: int,
@@ -102,7 +93,11 @@ def make_dummy_forecast(
 
 def _draw(input_window, horizon: int, kind: str, n_samples: int, rng: np.random.Generator):
     """The location and the (S, H, D) standard normals of a dummy forecast."""
-    arr = _check_input_window(input_window)
+    arr = np.asarray(input_window, dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[0] < 1:
+        raise ValueError(f"input window must be (steps, dims) with >= 1 row, got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("input window contains non-finite values")
     horizon = int(horizon)
     if horizon < 1:
         raise ValueError(f"horizon must be positive, got {horizon}")

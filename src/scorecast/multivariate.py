@@ -14,15 +14,12 @@ from numpy.typing import ArrayLike, NDArray
 from .crps import ESTIMATORS, _check_n_quantiles, _crps_batch, _nonnegative
 
 __all__ = [
-    "ESTIMATORS",
     "ScoreReport",
     "energy_score",
-    "energy_score_window",
     "crps_matrix",
     "crps_sum_series",
     "energy_series",
     "crps_sum",
-    "crps_per_dimension",
     "score_report",
 ]
 
@@ -254,12 +251,6 @@ def energy_series(ensemble: ArrayLike, obs: ArrayLike, beta: float = 1.0) -> NDA
     return _energy_steps(ens, window, _check_beta(beta))
 
 
-def energy_score_window(ensemble: ArrayLike, obs: ArrayLike, beta: float = 1.0) -> float:
-    """Energy score of a multi-step ensemble: the per-step scores averaged over
-    the horizon."""
-    return float(energy_series(ensemble, obs, beta=beta).mean())
-
-
 def crps_matrix(
     ensemble: ArrayLike,
     obs: ArrayLike,
@@ -299,22 +290,6 @@ def crps_sum(
 ) -> float:
     """CRPS-Sum: mean over the horizon of the summed-series CRPS."""
     return float(crps_sum_series(ensemble, obs, estimator, n_quantiles).mean())
-
-
-def crps_per_dimension(
-    ensemble: ArrayLike,
-    obs: ArrayLike,
-    estimator: str = "quantile",
-    n_quantiles: int = 20,
-) -> tuple[NDArray[np.float64], float]:
-    """Horizon-averaged CRPS per dimension plus the overall aggregate.
-
-    Returns:
-        (per_dim, aggregate): per_dim[d] is the mean CRPS of dimension d over
-        the horizon; aggregate is the mean over all (step, dimension) cells.
-    """
-    mat = crps_matrix(ensemble, obs, estimator, n_quantiles)
-    return mat.mean(axis=0), float(mat.mean())
 
 
 @dataclass

@@ -275,19 +275,7 @@ class SensitivityGridReport:
     """All grid cells plus the configuration that produced them."""
 
     config: SensitivityConfig
-    cells: list[GridCell] = field(default_factory=list)
-
-    def cell(self, rho: float, varrho: float) -> GridCell:
-        for c in self.cells:
-            if np.isclose(c.rho, rho, atol=1e-9) and np.isclose(c.varrho, varrho, atol=1e-9):
-                return c
-        raise KeyError(f"no cell at rho={rho}, varrho={varrho}")
-
-    def row(self, rho: float) -> list[GridCell]:
-        got = [c for c in self.cells if np.isclose(c.rho, rho, atol=1e-9)]
-        if not got:
-            raise KeyError(f"no cells at rho={rho}")
-        return got
+    cells: list[GridCell] = field(default_factory=list)  # row-major: rho, then varrho
 
 
 def _cell_seed(master_seed: int, rho_index: int, varrho_index: int) -> np.random.SeedSequence:
@@ -483,16 +471,6 @@ class ConvergenceReport:
     repeats: int
     seed: int
     rows: list[ConvergenceRow]
-
-    def row(self, estimator: str, sample_size: int, n_quantiles: Optional[int] = None) -> ConvergenceRow:
-        for r in self.rows:
-            if (
-                r.estimator == estimator
-                and r.sample_size == sample_size
-                and (n_quantiles is None or r.n_quantiles == n_quantiles)
-            ):
-                return r
-        raise KeyError(f"no row for {estimator}, size {sample_size}, N={n_quantiles}")
 
 
 def run_convergence_study(

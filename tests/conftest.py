@@ -28,6 +28,14 @@ def read_report_csv(path):
     return meta, header, rows
 
 
+def write_table(path, values):
+    """Write a (T, D) array as a headerless CSV table of shortest-repr floats,
+    which the loaders read back bit for bit."""
+    with open(path, "w", encoding="ascii") as fh:
+        for row in values:
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+
+
 def assert_no_children():
     """No child of this process is left, running or unwaited-for."""
     with pytest.raises(ChildProcessError):
@@ -56,5 +64,5 @@ def synthetic_series():
 @pytest.fixture
 def synthetic_series_file(tmp_path, synthetic_series):
     path = tmp_path / "synthetic_rates.csv"
-    synthetic_series.save(path)
+    write_table(path, synthetic_series.values)
     return path

@@ -17,8 +17,8 @@ import numpy as np
 import pytest
 
 from scorecast import (
+    crps_matrix,
     crps_sample_estimate,
-    crps_per_dimension,
     crps_sum,
     energy_score,
 )
@@ -93,14 +93,26 @@ def exchange_splits():
     )
 
 
+def _rows(report) -> dict:
+    """Convergence rows by (estimator, sample size, quantile count)."""
+    return {(r.estimator, r.sample_size, r.n_quantiles): r for r in report.rows}
+
+
+def _cell(config, report, rho, varrho):
+    """Grid cell (rho, varrho): the cells run row-major over the two lists."""
+    i, j = config.rho_list.index(rho), config.varrho_list.index(varrho)
+    return report.cells[i * len(config.varrho_list) + j]
+
+
 # ---------------------------------------------------------------------------
 # criteria
 # ---------------------------------------------------------------------------
 
 def test_criterion_01_analytic_constant_at_largest_size(convergence):
     report, elapsed = convergence
+    rows = _rows(report)
     worst = max(
-        abs(report.row(est, 5000, 20 if est == "quantile" else None).mean - ANALYTIC)
+        abs(rows[est, 5000, 20 if est == "quantile" else None].mean - ANALYTIC)
         for est in ("ecdf", "quantile", "sample")
     )
     ok = worst < 0.01 and elapsed < 60.0
@@ -113,9 +125,9 @@ def test_criterion_01_analytic_constant_at_largest_size(convergence):
 
 
 def test_criterion_02_ecdf_variance_below_sample_variance(convergence):
-    report, _ = convergence
+    rows = _rows(convergence[0])
     pairs = {
-        size: (report.row("ecdf", size).std, report.row("sample", size).std)
+        size: (rows["ecdf", size, None].std, rows["sample", size, None].std)
         for size in (1000, 2000, 5000)
     }
     ok = all(e < s for e, s in pairs.values())
@@ -126,8 +138,7 @@ def test_criterion_02_ecdf_variance_below_sample_variance(convergence):
 
 
 def test_criterion_03_quantile_estimator_efficient_at_500(convergence):
-    report, _ = convergence
-    bias = abs(report.row("quantile", 500, 20).mean - ANALYTIC)
+    bias = abs(_rows(convergence[0])["quantile", 500, 20].mean - ANALYTIC)
     verdict(3, bias < 0.02, f"quantile estimator (500 samples, 20 levels) |bias| {bias:.5f} < 0.02")
 
 
@@ -149,11 +160,11 @@ def test_criterion_05_energy_score_proper_on_grid(desk_grid):
     config, report, _ = desk_grid
     worst_z, worst_at = -math.inf, None
     for rho in config.rho_list:
-        ref = report.cell(rho, rho)
+        ref = _cell(config, report, rho, rho)
         for varrho in config.varrho_list:
             if varrho == rho:
                 continue
-            cell = report.cell(rho, varrho)
+            cell = _cell(config, report, rho, varrho)
             z = (ref.es_mean - cell.es_mean) / math.hypot(ref.stderr_es, cell.stderr_es)
             if z > worst_z:
                 worst_z, worst_at = z, (rho, varrho)
@@ -178,11 +189,11 @@ def test_criterion_06_energy_score_surface_symmetric(desk_grid):
     config, report, elapsed = desk_grid
     worst_z, worst_at = -math.inf, None
     for rho in config.rho_list:
-        ref_a = report.cell(rho, rho)
-        ref_b = report.cell(-rho, -rho)
+        ref_a = _cell(config, report, rho, rho)
+        ref_b = _cell(config, report, -rho, -rho)
         for varrho in config.varrho_list:
-            a = report.cell(rho, varrho)
-            b = report.cell(-rho, -varrho)
+            a = _cell(config, report, rho, varrho)
+            b = _cell(config, report, -rho, -varrho)
             se = math.hypot(_delta_es_se(a, ref_a), _delta_es_se(b, ref_b))
             z = abs(a.delta_rel_es - b.delta_rel_es) / se
             if z > worst_z:
@@ -201,7 +212,7 @@ def test_criterion_07_crps_sum_asymmetry_factor(desk_grid):
     config, report, _ = desk_grid
 
     def row(rho, column):
-        return [getattr(report.cell(rho, v), column) for v in config.varrho_list]
+        return [getattr(_cell(config, report, rho, v), column) for v in config.varrho_list]
 
     # The asymmetry is taken between the row means of d_rel over the whole
     # varrho grid, which converge as the grid is refined (closed form 4.16 on
@@ -232,7 +243,7 @@ def test_criterion_08_crps_sum_cancellation():
     ens = np.stack([base_samples, -base_samples], axis=2)
 
     cs = crps_sum(ens, obs, estimator="quantile")
-    per_dim, _ = crps_per_dimension(ens, obs, estimator="quantile")
+    per_dim = crps_matrix(ens, obs, estimator="quantile").mean(axis=0)
     ok = cs == 0.0 and bool(np.all(per_dim > 0.0))
     verdict(
         8,

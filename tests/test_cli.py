@@ -15,12 +15,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import scorecast
 from scorecast import __version__, _rowloop, forecasters, reporting, simulation
 from scorecast.cli import COMMANDS, _bulk_ensemble, _read_ensemble_csv, build_parser, main
-from scorecast.data import MultivariateSeries
 from scorecast.forecasters import ensemble_to_csv
 from scorecast.multivariate import score_report
 from scorecast.reporting import artifact_version
 
-from conftest import read_report_csv
+from conftest import read_report_csv, write_table
 
 
 def run_ok(argv):
@@ -558,7 +557,7 @@ def stored_case(tmp_path, rng):
     ens_path = tmp_path / "ens.csv"
     obs_path = tmp_path / "obs.csv"
     ensemble_to_csv(ens, ens_path)
-    MultivariateSeries(values=obs).save(obs_path)
+    write_table(obs_path, obs)
     return ens, obs, ens_path, obs_path
 
 
@@ -574,7 +573,7 @@ def test_score_target_of_an_all_zero_dimension(tmp_path, rng, capsys):
     ensemble_to_csv(rng.standard_normal((20, 3, 2)), ens_path)
     obs = rng.standard_normal((3, 2)) + 1.0
     obs[:, 1] = 0.0
-    MultivariateSeries(values=obs).save(obs_path)
+    write_table(obs_path, obs)
     out = tmp_path / "score"
     run_ok(["score", "--ensemble", str(ens_path), "--obs", str(obs_path),
             "--normalize", "target", "--out", str(out)])
@@ -617,7 +616,7 @@ def test_score_perfect_ensemble_is_all_zero(tmp_path):
     ens = np.broadcast_to(obs, (10, 3, 2)).copy()
     ens_path, obs_path = tmp_path / "ens.csv", tmp_path / "obs.csv"
     ensemble_to_csv(ens, ens_path)
-    MultivariateSeries(values=obs).save(obs_path)
+    write_table(obs_path, obs)
     out = tmp_path / "score"
     run_ok([
         "score", "--ensemble", str(ens_path), "--obs", str(obs_path),

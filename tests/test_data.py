@@ -20,6 +20,8 @@ from scorecast.data import (
     make_rolling_splits,
 )
 
+from conftest import write_table
+
 
 # ---------------------------------------------------------------------------
 # series container
@@ -28,15 +30,7 @@ from scorecast.data import (
 def test_series_basic_properties():
     s = MultivariateSeries(values=np.arange(12.0).reshape(4, 3))
     assert s.length == 4
-    assert s.n_dims == 3
-    assert s.dim_names == ["dim_0", "dim_1", "dim_2"]
-
-
-def test_series_custom_dim_names():
-    s = MultivariateSeries(values=np.zeros((2, 2)), dim_names=["usd", "eur"])
-    assert s.dim_names == ["usd", "eur"]
-    with pytest.raises(ValueError):
-        MultivariateSeries(values=np.zeros((2, 2)), dim_names=["only_one"])
+    assert s.values.shape == (4, 3)
 
 
 def test_series_rejects_bad_values():
@@ -99,7 +93,7 @@ def test_load_empty_file(tmp_path):
 def test_save_load_round_trip_is_bit_exact(tmp_path, rng):
     original = MultivariateSeries(values=rng.standard_normal((40, 8)) * 1.7)
     path = tmp_path / "series.csv"
-    original.save(path)
+    write_table(path, original.values)
     again = load_multivariate_csv(path)
     np.testing.assert_array_equal(again.values, original.values)
 
@@ -198,7 +192,7 @@ def test_exchange_rate_loader_enforces_eight_columns(tmp_path):
     good = tmp_path / "rates.csv"
     good.write_text("1,2,3,4,5,6,7,8\n" * 3)
     series = load_exchange_rate(good)
-    assert series.n_dims == EXCHANGE_RATE_DIMS
+    assert series.values.shape[1] == EXCHANGE_RATE_DIMS
 
     bad = tmp_path / "short.csv"
     bad.write_text("1,2,3,4,5,6,7\n")

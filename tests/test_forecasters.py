@@ -5,7 +5,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from scorecast import forecasters, multivariate
+from scorecast import crps, forecasters, multivariate
 from scorecast.cli import main
 from scorecast.data import make_rolling_splits
 from scorecast.forecasters import (
@@ -265,7 +265,7 @@ def test_dummy_forecast_is_a_normal_draw(kind, sigma):
 
 
 @pytest.mark.parametrize("kind", DUMMY_KINDS)
-@pytest.mark.parametrize("estimator", multivariate.ESTIMATORS)
+@pytest.mark.parametrize("estimator", crps.ESTIMATORS)
 def test_sigma_sweep_rows_are_the_evaluations_at_each_sigma(splits, kind, estimator):
     """One draw per split, scaled by each sigma, scores as a fresh evaluation
     at that sigma, bit for bit."""

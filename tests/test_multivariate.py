@@ -10,18 +10,16 @@ from scorecast import (
     crps_quantile,
     crps_sample_estimate,
     crps_matrix,
-    crps_per_dimension,
     crps_sum,
     crps_sum_series,
     energy_score,
-    energy_score_window,
     energy_series,
     multivariate,
     score_report,
 )
 from scorecast.cli import build_parser
-from scorecast.crps import _crps_batch
-from scorecast.multivariate import ESTIMATORS, ScoreReport, _bands, _energy_batch
+from scorecast.crps import ESTIMATORS, _crps_batch
+from scorecast.multivariate import ScoreReport, _bands, _energy_batch
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +116,7 @@ def test_energy_score_shape_validation():
 
 
 @pytest.mark.parametrize("call, args", [
-    (energy_score_window, ((3, 0, 2), (0, 2))),
+    (energy_series, ((3, 0, 2), (0, 2))),
     (crps_sum, ((3, 0, 2), (0, 2))),
     (score_report, ((3, 0, 2), (0, 2))),
     (crps_sum, ((3, 2, 0), (2, 0))),
@@ -327,9 +325,11 @@ def test_energy_series_matches_per_step_scores(window_case):
 
 
 def test_energy_window_mean_vs_flatten(window_case):
+    """A window's ES, as the raw report gives it, is the horizon mean of the
+    per-step series, bit for bit."""
     ens, obs = window_case
-    mean_mode = energy_score_window(ens, obs)
-    assert mean_mode == pytest.approx(float(energy_series(ens, obs).mean()), rel=1e-13)
+    rep = score_report(ens, obs, normalization="raw")
+    assert rep.energy_score == float(energy_series(ens, obs).mean())
 
 
 def test_crps_matrix_matches_univariate_calls(window_case):
@@ -348,11 +348,13 @@ def test_crps_matrix_matches_univariate_calls(window_case):
 
 
 def test_crps_per_dimension_aggregation(window_case):
+    """The raw report's per-dimension CRPS and its aggregate are the means of
+    the pointwise matrix over the horizon and over every cell, bit for bit."""
     ens, obs = window_case
-    per_dim, aggregate = crps_per_dimension(ens, obs, estimator="sample")
+    rep = score_report(ens, obs, estimator="sample", normalization="raw")
     mat = crps_matrix(ens, obs, estimator="sample")
-    np.testing.assert_allclose(per_dim, mat.mean(axis=0), rtol=1e-13)
-    assert aggregate == pytest.approx(mat.mean(), rel=1e-13)
+    assert np.array_equal(rep.crps_per_dim, mat.mean(axis=0))
+    assert rep.crps_aggregate == float(mat.mean())
 
 
 def test_unknown_estimator_rejected(window_case):
@@ -363,7 +365,7 @@ def test_unknown_estimator_rejected(window_case):
 
 def test_quantile_count_checked_only_for_quantile_estimator(window_case):
     ens, obs = window_case
-    for fn in (crps_matrix, crps_sum_series, crps_sum, crps_per_dimension, score_report):
+    for fn in (crps_matrix, crps_sum_series, crps_sum, score_report):
         with pytest.raises(ValueError, match="n_quantiles"):
             fn(ens, obs, "quantile", 0)
         # the other estimators take no quantile count and ignore it
@@ -425,7 +427,7 @@ def test_crps_sum_cancellation_on_anticorrelated_pairs(rng):
 
     assert crps_sum(ens, obs, estimator="sample") == 0.0
     assert crps_sum(ens, obs, estimator="quantile") == 0.0
-    per_dim, _ = crps_per_dimension(ens, obs, estimator="sample")
+    per_dim = crps_matrix(ens, obs, estimator="sample").mean(axis=0)
     assert np.all(per_dim > 0.1)
 
 

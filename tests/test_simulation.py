@@ -229,14 +229,17 @@ def micro_grid():
 def test_grid_is_complete(micro_grid):
     cfg, rep = micro_grid
     assert len(rep.cells) == len(cfg.rho_list) * len(cfg.varrho_list)
-    seen = {(c.rho, c.varrho) for c in rep.cells}
-    assert seen == {(r, v) for r in cfg.rho_list for v in cfg.varrho_list}
+    # row-major: cell (i, j) is cells[i * len(varrho_list) + j]
+    seen = [(c.rho, c.varrho) for c in rep.cells]
+    assert seen == [(r, v) for r in cfg.rho_list for v in cfg.varrho_list]
 
 
 def test_grid_reference_cells_have_zero_delta(micro_grid):
-    _, rep = micro_grid
-    for r in (-1.0, 0.0, 0.5):
-        cell = rep.cell(r, r)
+    cfg, rep = micro_grid
+    n_cols = len(cfg.varrho_list)
+    for i, r in enumerate(cfg.rho_list):
+        cell = rep.cells[i * n_cols + cfg.varrho_list.index(r)]
+        assert (cell.rho, cell.varrho) == (r, r)
         assert cell.delta_rel_crps_sum == 0.0
         assert cell.delta_rel_es == 0.0
 
@@ -245,10 +248,11 @@ def test_degenerate_row_yields_nan_crps_sum_deltas(micro_grid):
     """At rho = -1 the summed observations are identically zero, so the
     reference CRPS-Sum is 0 and relative changes are undefined off-reference."""
     _, rep = micro_grid
-    ref = rep.cell(-1.0, -1.0)
+    ref, *others = rep.cells[:3]  # the row rho = -1: varrho = -1, 0, 0.5
+    assert (ref.rho, ref.varrho) == (-1.0, -1.0)
     assert ref.crps_sum_mean == 0.0
-    for v in (0.0, 0.5):
-        cell = rep.cell(-1.0, v)
+    for cell in others:
+        assert cell.rho == -1.0
         assert math.isnan(cell.delta_rel_crps_sum)
         assert math.isfinite(cell.delta_rel_es)
     # ES deltas stay well defined on the whole grid
@@ -457,15 +461,6 @@ def test_grid_rows_match_csv_columns(micro_grid):
     assert lookup["n_windows"] == cfg.n_windows
 
 
-def test_grid_cell_lookup_missing():
-    cfg = SensitivityConfig(
-        rho_list=(0.0,), varrho_list=(0.0,), n_windows=16, window_size=8, seed=0
-    )
-    rep = run_sensitivity_grid(cfg)
-    with pytest.raises(KeyError):
-        rep.cell(0.5, 0.0)
-
-
 def test_sensitivity_config_scales():
     assert SCALES["paper"] == (2**14, 2**9)
     assert SCALES["desk"] == (2**12, 2**7)
@@ -555,10 +550,12 @@ def test_convergence_values_in_plausible_band(small_study):
 
 
 def test_convergence_row_lookup(small_study):
-    row = small_study.row("quantile", 50, 20)
-    assert row.estimator == "quantile" and row.n_quantiles == 20
-    with pytest.raises(KeyError):
-        small_study.row("quantile", 50, 99)
+    # rows run by estimator, then size, then quantile count
+    keys = [(r.estimator, r.sample_size, r.n_quantiles) for r in small_study.rows]
+    assert keys == [("ecdf", 50, None), ("ecdf", 200, None),
+                    ("quantile", 50, 10), ("quantile", 50, 20),
+                    ("quantile", 200, 10), ("quantile", 200, 20),
+                    ("sample", 50, None), ("sample", 200, None)]
 
 
 def test_convergence_deterministic(small_study):
@@ -577,7 +574,7 @@ def test_convergence_rows_independent_of_selection():
     combined = run_convergence_study(
         sample_sizes=(50, 200), n_quantiles=(10,), repeats=5, seed=3
     )
-    assert alone.row("sample", 200) == combined.row("sample", 200)
+    assert alone.rows == [r for r in combined.rows if (r.estimator, r.sample_size) == ("sample", 200)]
 
 
 def test_convergence_validation():

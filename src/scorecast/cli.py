@@ -20,8 +20,9 @@ Configuration precedence: command-line flags > --config JSON file > built-in
 defaults.  Environment variables are never consulted.
 
 Each command returns its reports, as a ``_Run``, and writes none of them.
-``main`` alone makes --out, runs the command, writes the sample dumps, the
-reports and ``run_manifest.json``, and prints the summary; a run that fails
+``main`` alone makes --out, runs the command, writes the sample dumps (over
+one worker per CPU, ``simulation._fork_map``), the reports and
+``run_manifest.json``, and prints the summary; a run that fails
 removes the directories it made and left empty.  The files of a run are
 written whole: each goes to a temporary file beside its target, and only
 when every one is written are they renamed into place, so a failed write
@@ -41,9 +42,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__, forecasters, reporting, simulation
-from ._rowloop import dump_rows
 from .crps import ESTIMATORS
-from .data import _loadtxt, _plain_lines, load_exchange_rate, load_multivariate_csv, make_rolling_splits
+from .data import load_ensemble_csv, load_exchange_rate, load_multivariate_csv, make_rolling_splits
 from .multivariate import NORMALIZATION_MODES, ScoreReport, score_report
 
 
@@ -255,6 +255,8 @@ def _cmd_exchange_eval(effective: dict) -> _Run:
         f"exchange-eval[{cfg.kind}]: {len(splits)} splits",
         [f"  pooled ({pooled.normalization_mode}): crps_sum={pooled.crps_sum:.6f} "
          f"crps={pooled.crps_aggregate:.6f} es={pooled.energy_score:.6f}"],
+        # main writes the sample dumps over this many workers.
+        facts={"workers": simulation._workers(len(dumps))} if dumps else None,
         dumps=dumps,
     )
 
@@ -276,53 +278,15 @@ def _cmd_sigma_sweep(effective: dict) -> _Run:
     )
 
 
-_DUMP_HEADER = ["sample_id", "t", "dim", "value"]
-_DUMP_ROW = np.dtype([("s", np.int64), ("t", np.int64), ("d", np.int64), ("v", np.float64)])
-
-
-def _bulk_ensemble(data: bytes) -> Optional[np.ndarray]:
-    """The dump's (S, H, D) array from one ``np.loadtxt`` pass, or None where
-    the pass or a whole-array check refuses it."""
-    lines = _plain_lines(data)
-    if not lines or [h.strip() for h in lines[0].split(",")] != _DUMP_HEADER:
-        return None
-    rows = _loadtxt(lines[1:], _DUMP_ROW, ndmin=1)
-    # loadtxt skips blank lines, which the row loop rejects.
-    if rows is None or len(rows) != len(lines) - 1:
-        return None
-    index = (rows["s"], rows["t"], rows["d"])
-    if min(int(i.min()) for i in index) < 0:
-        return None
-    shape = tuple(int(i.max()) + 1 for i in index)
-    if shape[0] * shape[1] * shape[2] != len(rows):
-        return None
-    # A full count of in-range indices fills every cell once unless one repeats.
-    flat = np.ravel_multi_index(index, shape)
-    seen = np.zeros(len(rows), dtype=bool)
-    seen[flat] = True
-    if not seen.all():
-        return None
-    out = np.empty(shape)
-    out.reshape(-1)[flat] = rows["v"]
-    return out
-
-
 def _read_ensemble_csv(path: str) -> np.ndarray:
-    """Read a sample dump (sample_id, t, dim, value) back into (S, H, D).
-
-    Rows may come in any order.  A dump that the bulk pass refuses is read
-    row by row, which returns the same array or names the bad row.
-    """
+    """The (S, H, D) ensemble of the --ensemble dump; any failure is a CliError."""
     p = Path(path)
     if not p.exists():
         raise CliError(f"--ensemble: file not found: {p}")
-    ensemble = _bulk_ensemble(_read("--ensemble", Path.read_bytes, p))
-    if ensemble is None:
-        try:
-            ensemble = dump_rows(p)
-        except ValueError as exc:
-            raise CliError(f"--ensemble: {exc}") from None
-    return ensemble
+    try:
+        return load_ensemble_csv(p)
+    except (OSError, ValueError) as exc:
+        raise CliError(f"--ensemble: {exc}") from None
 
 
 def _cmd_score(effective: dict) -> _Run:
@@ -470,8 +434,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return staged[out / name]
 
         try:
-            for name, ensemble in run.dumps.items():
-                forecasters.ensemble_to_csv(ensemble, stage(name))
+            dumps = [(ensemble, stage(name)) for name, ensemble in run.dumps.items()]
+            simulation._fork_map(lambda dump: forecasters.ensemble_to_csv(*dump), dumps,
+                                 simulation._workers(len(dumps)))
             for name, (columns, rows) in run.tables.items():
                 reporting.write_csv(stage(name), columns, rows,
                                     meta={"seed": seed, "config": run.config})

@@ -1,13 +1,18 @@
-"""Loading multivariate series from headerless CSV and building rolling
-evaluation splits.
+"""Reading both CSV inputs, and building rolling evaluation splits.
 
-The exchange-rate benchmark file is a plain text table: one row per day,
-eight comma-separated decimal columns, no header.  A gzip-compressed file
-(suffix ``.gz``) is accepted transparently.
+A table (the exchange-rate file: one row per day, eight comma-separated
+columns, no header; gzipped if the suffix is ``.gz``) and a sample dump (an
+(S, H, D) ensemble as ``DUMP_HEADER`` rows) are each read once, as bytes, and
+parsed in one ``np.loadtxt`` pass checked on whole arrays.  Input that pass
+refuses goes to the format's row loop over the same bytes, which alone
+decides: it returns the array or raises ValueError naming the bad 1-based row.
 """
 from __future__ import annotations
 
+import csv
 import gzip
+import io
+import re
 import warnings
 import zlib
 from dataclasses import dataclass
@@ -17,17 +22,17 @@ from typing import Optional, Union
 import numpy as np
 from numpy.typing import NDArray
 
-from ._rowloop import table_rows
-
 __all__ = [
     "MultivariateSeries",
     "EvaluationSplit",
     "load_multivariate_csv",
     "load_exchange_rate",
+    "load_ensemble_csv",
     "make_rolling_splits",
 ]
 
 EXCHANGE_RATE_DIMS = 8
+DUMP_HEADER = "sample_id,t,dim,value"  # a sample dump's first line
 
 
 @dataclass
@@ -48,13 +53,14 @@ class MultivariateSeries:
         return self.values.shape[0]
 
 
-def _lines(path: Path):
-    """The file's text lines, gunzipped if the suffix is ``.gz``.  A byte
-    outside ASCII decodes to a lone surrogate, which the row loop reports."""
-    opener = gzip.open if path.suffix == ".gz" else open
+def _read(path: Path) -> bytes:
+    """The file's bytes, gunzipped if the suffix is ``.gz`` (by ``GzipFile``,
+    whose errors say more than ``gzip.decompress``'s)."""
+    data = path.read_bytes()
+    if path.suffix != ".gz":
+        return data
     try:
-        with opener(path, "rt", encoding="ascii", errors="surrogateescape") as fh:
-            yield from fh
+        return gzip.GzipFile(fileobj=io.BytesIO(data)).read()
     except (gzip.BadGzipFile, EOFError, zlib.error) as exc:
         raise ValueError(f"{path}: not a readable gzip file ({exc})") from None
 
@@ -96,8 +102,8 @@ def load_multivariate_csv(
     if not path.exists():
         raise FileNotFoundError(f"data file not found: {path}")
 
-    lines = list(_lines(path))
-    plain = _plain_lines("".join(lines).encode("ascii", errors="surrogateescape"))
+    data = _read(path)
+    plain = _plain_lines(data)
     values = None if plain is None else _loadtxt(plain, np.float64, ndmin=2)
     # Anything the bulk pass refuses goes to the row loop, which has the say.
     if (
@@ -105,13 +111,138 @@ def load_multivariate_csv(
         or not np.isfinite(values).all()
         or (expected_dims is not None and values.shape[1] != expected_dims)
     ):
-        values = table_rows(path, lines, expected_dims)
+        values = _table_rows(path, data, expected_dims)
     return MultivariateSeries(values=values)
 
 
 def load_exchange_rate(path: Union[str, Path]) -> MultivariateSeries:
     """Load the daily 8-currency exchange-rate table."""
     return load_multivariate_csv(path, expected_dims=EXCHANGE_RATE_DIMS)
+
+
+_DUMP_ROW = np.dtype([("s", np.int64), ("t", np.int64), ("d", np.int64), ("v", np.float64)])
+
+
+def load_ensemble_csv(path: Union[str, Path]) -> NDArray[np.float64]:
+    """Read a sample dump (sample_id, t, dim, value), rows in any order, back
+    into (S, H, D); malformed input raises ValueError saying what is wrong."""
+    data = Path(path).read_bytes()
+    ensemble = _bulk_ensemble(data)
+    return _dump_rows(data) if ensemble is None else ensemble
+
+
+def _bulk_ensemble(data: bytes) -> Optional[np.ndarray]:
+    """The dump's (S, H, D) array from one ``np.loadtxt`` pass, or None where
+    the pass or a whole-array check refuses it."""
+    lines = _plain_lines(data)
+    if not lines or [h.strip() for h in lines[0].split(",")] != DUMP_HEADER.split(","):
+        return None
+    rows = _loadtxt(lines[1:], _DUMP_ROW, ndmin=1)
+    # loadtxt skips blank lines, which the row loop rejects.
+    if rows is None or len(rows) != len(lines) - 1:
+        return None
+    index = (rows["s"], rows["t"], rows["d"])
+    if min(int(i.min()) for i in index) < 0:
+        return None
+    shape = tuple(int(i.max()) + 1 for i in index)
+    if shape[0] * shape[1] * shape[2] != len(rows):
+        return None
+    # A full count of in-range indices fills every cell once unless one repeats.
+    flat = np.ravel_multi_index(index, shape)
+    seen = np.zeros(len(rows), dtype=bool)
+    seen[flat] = True
+    if not seen.all():
+        return None
+    out = np.empty(shape)
+    out.reshape(-1)[flat] = rows["v"]
+    return out
+
+
+# --------------------------------------------------------------------------
+# the row loops: the reference for the bulk passes, and the only readers of
+# what those refuse
+
+# A byte that ``errors="surrogateescape"`` could not decode.
+_UNDECODED = re.compile("[\udc80-\udcff]")
+
+
+def _check_decoded(text: str, lineno: int, codec: str, where: str = "") -> None:
+    match = _UNDECODED.search(text)
+    if match:
+        byte = ord(match.group()) - 0xDC00
+        raise ValueError(f"{where}row {lineno}: byte 0x{byte:02x} is not {codec}")
+
+
+def _table_rows(path: Path, data: bytes, expected_dims: Optional[int]) -> NDArray[np.float64]:
+    """The (T, D) values of a headerless table, read from its bytes line by
+    line, with the line ends a text-mode ``open`` reads."""
+    rows: list[list[float]] = []
+    width: Optional[int] = None
+    lines = io.StringIO(data.decode("ascii", "surrogateescape"), newline=None)
+    for lineno, line in enumerate(lines, start=1):
+        _check_decoded(line, lineno, "ASCII", where=f"{path}: ")
+        line = line.strip()
+        if not line:
+            continue  # tolerate blank lines (e.g. trailing newline)
+        parts = line.split(",")
+        if width is None:
+            width = len(parts)
+            if expected_dims is not None and width != expected_dims:
+                raise ValueError(f"row {lineno}: expected {expected_dims} columns, found {width}")
+        elif len(parts) != width:
+            raise ValueError(f"row {lineno}: expected {width} columns, found {len(parts)}")
+        row = []
+        for col, token in enumerate(parts, start=1):
+            try:
+                value = float(token)
+            except ValueError:
+                raise ValueError(
+                    f"row {lineno}, column {col}: could not parse {token.strip()!r} as a number"
+                ) from None
+            if not np.isfinite(value):
+                raise ValueError(
+                    f"row {lineno}, column {col}: non-finite value {token.strip()!r}"
+                )
+            row.append(value)
+        rows.append(row)
+
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    return np.asarray(rows, dtype=np.float64)
+
+
+def _dump_rows(data: bytes) -> NDArray[np.float64]:
+    """The (S, H, D) ensemble of a sample dump, read from its bytes row by row."""
+    entries = {}
+    reader = csv.reader(io.StringIO(data.decode("utf-8", "surrogateescape"), newline=""))
+    header = next(reader, None)
+    if header is not None:
+        _check_decoded(",".join(header), 1, "UTF-8")
+    if header is None or [h.strip() for h in header] != DUMP_HEADER.split(","):
+        raise ValueError(f"expected header '{DUMP_HEADER}'")
+    for lineno, row in enumerate(reader, start=2):
+        _check_decoded(",".join(row), lineno, "UTF-8")
+        try:
+            s, t, d, v = row  # exactly four fields
+            s, t, d, v = int(s), int(t), int(d), float(v)
+        except ValueError:
+            raise ValueError(f"malformed row {lineno}: {row}") from None
+        # With no negative or repeated index, a full count fills every cell once.
+        if min(s, t, d) < 0 or (s, t, d) in entries:
+            raise ValueError(f"negative or repeated index in row {lineno}: {row}")
+        entries[(s, t, d)] = v
+    if not entries:
+        raise ValueError("no data rows")
+    n_s, n_t, n_d = (max(k[i] for k in entries) + 1 for i in range(3))
+    if len(entries) != n_s * n_t * n_d:
+        raise ValueError(
+            f"expected {n_s * n_t * n_d} complete rows "
+            f"({n_s} samples x {n_t} steps x {n_d} dims), found {len(entries)}"
+        )
+    out = np.empty((n_s, n_t, n_d))
+    for (s, t, d), v in entries.items():
+        out[s, t, d] = v
+    return out
 
 
 @dataclass

@@ -20,12 +20,12 @@ import math
 from dataclasses import dataclass
 from itertools import chain, cycle, repeat
 from pathlib import Path
-from typing import Sequence, Union
+from typing import TYPE_CHECKING, Sequence, Union
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .data import EvaluationSplit
+from .data import DUMP_HEADER, EvaluationSplit
 from .multivariate import (
     ScoreReport,
     _as_ensemble,
@@ -36,7 +36,10 @@ from .multivariate import (
     _report,
     _scores,
 )
-from .simulation import RngLike, _fork_map, _workers
+from .simulation import _fork_map, _workers
+
+if TYPE_CHECKING:
+    from .simulation import RngLike
 
 __all__ = [
     "DummyConfig",
@@ -123,7 +126,7 @@ def ensemble_to_csv(ensemble: NDArray[np.float64], path: Union[str, Path]) -> No
     cells = [f",{t},{d}," for t in range(n_t) for d in range(n_d)]
     step = max(1, _CHUNK // max(1, len(cells)))
     with open(path, "w", newline="", encoding="ascii") as fh:
-        fh.write("sample_id,t,dim,value\r\n")
+        fh.write(DUMP_HEADER + "\r\n")
         for start in range(0, n_s, step):
             chunk = ens[start:start + step]
             sample_ids = chain.from_iterable(

@@ -18,7 +18,7 @@ import signal
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Callable, NoReturn, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, NoReturn, Optional, Sequence, Union
 
 import numpy as np
 from numpy.typing import NDArray
@@ -42,7 +42,8 @@ __all__ = [
     "run_convergence_study",
 ]
 
-RngLike = Union[int, np.random.Generator, np.random.SeedSequence, None]
+if TYPE_CHECKING:  # annotations alone, so start-up need not import numpy.random
+    RngLike = Union[int, np.random.Generator, np.random.SeedSequence, None]
 
 # Paper-scale and reduced desk-scale experiment sizes (windows, ensemble).
 SCALES = {

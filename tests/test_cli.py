@@ -1,5 +1,7 @@
 """End-to-end CLI runs on small configurations and synthetic data."""
+import builtins
 import csv
+import io
 import json
 import os
 import shutil
@@ -13,13 +15,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import scorecast
-from scorecast import __version__, _rowloop, forecasters, reporting, simulation
-from scorecast.cli import COMMANDS, _bulk_ensemble, _read_ensemble_csv, build_parser, main
+from scorecast import __version__, forecasters, reporting, simulation
+from scorecast.cli import COMMANDS, _read_ensemble_csv, build_parser, main
+from scorecast.data import _bulk_ensemble, _dump_rows, load_multivariate_csv
 from scorecast.forecasters import ensemble_to_csv
 from scorecast.multivariate import score_report
 from scorecast.reporting import artifact_version
 
-from conftest import read_report_csv, write_table
+from conftest import assert_no_children, read_report_csv, write_table
 
 
 def run_ok(argv):
@@ -426,6 +429,45 @@ def test_exchange_eval_dumps_the_scored_ensembles(tmp_path, synthetic_series_fil
     ]
 
 
+def test_dumps_over_one_or_two_workers_are_the_same(tmp_path, synthetic_series_file,
+                                                    monkeypatch):
+    """main writes the sample dumps over the workers; the dump and report
+    bytes in one --out do not depend on their count."""
+    out = tmp_path / "eval"
+    files = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(simulation, "_workers", lambda n, w=workers: min(w, n))
+        run_ok(["exchange-eval", "--data", str(synthetic_series_file), *EVAL_ARGS,
+                "--dump-samples", "--out", str(out)])
+        assert json.loads((out / "run_manifest.json").read_text())["workers"] == workers
+        files[workers] = {p.name: p.read_bytes() for p in out.iterdir()
+                          if p.name != "run_manifest.json"}
+    assert len(files[1]) == 5 and files[1] == files[2]
+
+
+def test_a_dump_write_failing_in_a_worker_leaves_no_file(tmp_path, synthetic_series_file,
+                                                         capsys, monkeypatch):
+    """A worker's write error is the run's error, and neither the dump the
+    worker wrote nor any other file or temporary is left."""
+    parent, write = os.getpid(), forecasters.ensemble_to_csv
+
+    def fail_in_a_worker(ensemble, path):
+        write(ensemble, path)
+        if os.getpid() != parent:
+            raise OSError(f"cannot write {Path(path).name} in a worker")
+
+    monkeypatch.setattr(forecasters, "ensemble_to_csv", fail_in_a_worker)
+    monkeypatch.setattr(simulation, "_workers", lambda n: min(2, n))
+    out = tmp_path / "eval"
+    out.mkdir()
+    assert main(["exchange-eval", "--data", str(synthetic_series_file), *EVAL_ARGS,
+                 "--dump-samples", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot write .samples_split_1.csv.{parent}.tmp in a worker\n")
+    assert list(out.iterdir()) == []
+    assert_no_children()
+
+
 def test_exchange_eval_univariate_alias(tmp_path, synthetic_series_file):
     out = tmp_path / "eval"
     run_ok([
@@ -770,7 +812,7 @@ def test_bulk_dump_read_matches_row_loop(tmp_path, shape, seed, pad, line_end):
     path.write_bytes(line_end.join(["sample_id,t,dim,value", *rows, ""]).encode("ascii"))
     bulk = _bulk_ensemble(path.read_bytes())
     assert bulk is not None
-    assert bulk.tobytes() == _rowloop.dump_rows(path).tobytes()
+    assert bulk.tobytes() == _dump_rows(path.read_bytes()).tobytes()
     assert bulk.tobytes() == ens.tobytes()
     assert _read_ensemble_csv(str(path)).tobytes() == bulk.tobytes()
 
@@ -808,6 +850,27 @@ def test_dump_accepts_what_the_row_loop_accepts(tmp_path):
     dump.write_text(HEADER + '"0",0,0,"1.5"\r\n\u0661,0,0,\u0662.5\r\n', encoding="utf-8")
     assert _bulk_ensemble(dump.read_bytes()) is None
     np.testing.assert_array_equal(_read_ensemble_csv(str(dump)), [[[1.5]], [[2.5]]])
+
+
+def test_each_input_file_is_read_once(tmp_path, monkeypatch):
+    """A table and a dump that the bulk passes refuse are read once: their
+    row loops parse the bytes the bulk pass had."""
+    table, dump = tmp_path / "t.csv", tmp_path / "dump.csv"
+    table.write_text("1_0,2\n \t\n3,4.5\n")
+    dump.write_text(HEADER + '"0",0,0,"1.5"\r\n1,0,0,2.5\r\n', encoding="utf-8")
+    opened, real_open = [], io.open
+
+    def counted(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and Path(file).parent == tmp_path:
+            opened.append(Path(file).name)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", counted)
+    monkeypatch.setattr(builtins, "open", counted)
+    np.testing.assert_array_equal(load_multivariate_csv(table).values, [[10.0, 2.0], [3.0, 4.5]])
+    assert opened == ["t.csv"]
+    np.testing.assert_array_equal(_read_ensemble_csv(str(dump)), [[[1.5]], [[2.5]]])
+    assert opened == ["t.csv", "dump.csv"]
 
 
 def test_sparse_dump_is_rejected_without_allocating_its_array(tmp_path, capsys):

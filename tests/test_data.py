@@ -8,13 +8,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from scorecast._rowloop import table_rows
 from scorecast.data import (
     EXCHANGE_RATE_DIMS,
     MultivariateSeries,
-    _lines,
     _loadtxt,
     _plain_lines,
+    _read,
+    _table_rows,
     load_exchange_rate,
     load_multivariate_csv,
     make_rolling_splits,
@@ -146,7 +146,7 @@ def test_load_matches_row_loop(tmp_path, case, gz):
     path = tmp_path / ("t.csv.gz" if gz else "t.csv")
     path.write_bytes(gzip.compress(text.encode("ascii"), mtime=0) if gz else text.encode("ascii"))
     got = load_multivariate_csv(path).values
-    reference = table_rows(path, list(_lines(path)), None)
+    reference = _table_rows(path, _read(path), None)
     assert got.tobytes() == reference.tobytes() == values.tobytes()
     plain = _plain_lines(text.encode("ascii"))
     bulk = _loadtxt(plain, np.float64, ndmin=2)

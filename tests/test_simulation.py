@@ -1,5 +1,6 @@
 """Correlated sampling, the sensitivity grid, and the convergence study."""
 import contextlib
+import json
 import math
 import os
 import signal
@@ -317,13 +318,21 @@ def test_a_cell_error_in_a_worker_reaches_the_caller(micro_grid, monkeypatch):
 
 def test_cli_start_up_does_not_import_multiprocessing():
     """The library forks its workers itself, so neither the CLI's start-up
-    nor a map over two workers imports ``multiprocessing``."""
-    code = ("import sys, scorecast.cli; from scorecast import simulation; "
+    nor a map over two workers imports ``multiprocessing``.  Start-up loads
+    every module whose functions the traced benchmark wraps, and not
+    ``numpy.random``, which only a draw needs."""
+    code = ("import json, sys, scorecast.cli; "
+            "loaded = sorted(m for m in sys.modules if m.startswith('scorecast.')); "
+            "random = 'numpy.random' in sys.modules; "
+            "from scorecast import simulation; "
             "assert simulation._fork_map(abs, [-1, -2, -3], 2) == [1, 2, 3]; "
-            "print('multiprocessing' in sys.modules)")
+            "print(json.dumps([loaded, random, 'multiprocessing' in sys.modules]))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True)
-    assert proc.stdout.strip() == "False"
+    loaded, random, multiprocessing = json.loads(proc.stdout)
+    traced = ("cli", "reporting", "data", "forecasters", "multivariate", "crps", "simulation")
+    assert set(loaded) >= {f"scorecast.{name}" for name in traced}
+    assert not random and not multiprocessing
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,13 @@ from __future__ import annotations
 import csv
 import gzip
 import io
+import itertools
 import re
 import warnings
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 import numpy as np
 from numpy.typing import NDArray
@@ -211,10 +212,24 @@ def _table_rows(path: Path, data: bytes, expected_dims: Optional[int]) -> NDArra
     return np.asarray(rows, dtype=np.float64)
 
 
+def _csv_rows(text: io.StringIO) -> Iterator[list[str]]:
+    """``csv.reader(text)``, with a ``csv.Error`` (a field over
+    ``csv.field_size_limit()``) raised as a ValueError naming its 1-based row."""
+    reader = csv.reader(text)
+    for row_no in itertools.count(1):
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise ValueError(f"row {row_no}: {exc}") from None
+        yield row
+
+
 def _dump_rows(data: bytes) -> NDArray[np.float64]:
     """The (S, H, D) ensemble of a sample dump, read from its bytes row by row."""
     entries = {}
-    reader = csv.reader(io.StringIO(data.decode("utf-8", "surrogateescape"), newline=""))
+    reader = _csv_rows(io.StringIO(data.decode("utf-8", "surrogateescape"), newline=""))
     header = next(reader, None)
     if header is not None:
         _check_decoded(",".join(header), 1, "UTF-8")

@@ -5,8 +5,10 @@ horizon of H steps for D dimensions.  Observations are (H, D) windows.
 """
 from __future__ import annotations
 
+import contextlib
+import threading
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
@@ -87,6 +89,39 @@ def _check_normalization(normalization: str) -> None:
 # each band and stack shaped by ``_bands(w)`` from w alone.
 _TILE = 1 << 16
 
+# Doubles of scratch that a process keeps from one call to the next (2 MB),
+# lent out as a stack: a grid cell's chunk buffers, and inside them the block
+# tile and the two stacks of ``_pair_gram``.  Fresh buffers per call, freed
+# between calls, made the allocator hand their pages back to the kernel and
+# fault them in again, ~20 % of a small grid cell.
+_SCRATCH = 1 << 18
+_scratch = np.empty(_SCRATCH)
+_scratch_lock = threading.RLock()  # held by the thread that uses the scratch
+_scratch_used = 0  # doubles lent out, from the front
+
+
+@contextlib.contextmanager
+def _workspace(size: int) -> Iterator[NDArray[np.float64]]:
+    """``size`` doubles of scratch: the next ones of the process's kept
+    buffer while it has room, else a fresh buffer (a larger request, or a
+    call while another thread holds the kept one).  A call inside another
+    gets the doubles after the outer one's.  A forked child inherits its own
+    copy."""
+    global _scratch_used
+    if not _scratch_lock.acquire(blocking=False):
+        yield np.empty(size)
+        return
+    used = _scratch_used
+    try:
+        if used + size > _SCRATCH:
+            yield np.empty(size)
+        else:
+            _scratch_used = used + size
+            yield _scratch[used : used + size]
+    finally:
+        _scratch_used = used
+        _scratch_lock.release()
+
 
 def _bands(w: int) -> tuple[int, int]:
     """(r, k) for windows of w members: bands of r rows, stacks of k windows,
@@ -101,6 +136,8 @@ def _pair_gram(x: NDArray[np.float64], beta: float, work: NDArray[np.float64]) -
     """Mean pair distance of each window in a stack (k, w, D), from the upper
     triangle of its Gram products in row bands held in ``work``: returns (k,).
 
+    ``work`` holds the blocks in its first max(_TILE, w) doubles and the two
+    stacks below, 2 k w (D + 2) doubles, after them.
     The members are centred on the first one, so that nearly equal members
     keep their differences exactly and a point mass gives exact zeros; a
     stack of point masses skips the bands.
@@ -121,12 +158,14 @@ def _pair_gram(x: NDArray[np.float64], beta: float, work: NDArray[np.float64]) -
     if not a.any():  # every window a point mass: the bands below would give +0.0
         return np.zeros(k)
     sq = np.einsum("kij,kij->ki", a, a)
-    left = np.empty((k, w, d + 2))
+    size = k * w * (d + 2)
+    stacks = work[max(_TILE, w) :]
+    left = stacks[:size].reshape(k, w, d + 2)
     np.multiply(a, -2.0, out=left[..., :d])  # exact, so each product is -2 a_i.a_j to the last bit
     left[..., d] = sq
     left[..., d + 1] = 1.0
     # C order: each block's columns j >= i are then a contiguous run of every row.
-    right = np.empty((k, d + 2, w))
+    right = stacks[size : 2 * size].reshape(k, d + 2, w)
     right[:, :d] = a.transpose(0, 2, 1)
     right[:, d] = 1.0
     right[:, d + 1] = sq
@@ -159,24 +198,26 @@ def _energy_batch(
     clamped at 0 and with the diagonal set to 0, each pair computed once; it
     agrees with the (w, w, D) difference form within 1e-13 of the
     observation term.  Every
-    stack reuses one tile, so no temporary grows with n or w**2, and since
-    the stack shape depends on w alone and each window is reduced over its
-    own contiguous rows, a batch equals its windows scored one by one, bit
-    for bit.  A score that overflows is NaN, never 0.
+    stack reuses one workspace, so no temporary grows with n or w**2, and
+    since the stack shape depends on w alone and each window is reduced over
+    its own contiguous rows, a batch equals its windows scored one by one,
+    bit for bit.  A score that overflows is NaN, never 0.
     """
-    n, w, _ = samples.shape
+    n, w, d = samples.shape
     k = _bands(w)[1]
-    # Every stack reuses this tile: a fresh 512 KB temporary per stack, freed
-    # between small ones, made the allocator return and re-fault its pages.
-    work = np.empty(max(_TILE, w))
     scores = np.empty(n)
-    for s in range(0, n, k):
-        # C order: a strided caller's view would change the order of the means.
-        x = np.ascontiguousarray(samples[s : s + k])
-        obs_dist = np.linalg.norm(x - obs[s : s + k, None], axis=-1)
-        if beta != 1.0:
-            obs_dist **= beta
-        scores[s : s + k] = obs_dist.mean(axis=1) - 0.5 * _pair_gram(x, beta, work)
+    # The block tile, then the two stacks of a full stack of windows.
+    with _workspace(max(_TILE, w) + 2 * min(k, n) * w * (d + 2)) as work:
+        for s in range(0, n, k):
+            # C order: a strided caller's view would change the order of the means.
+            x = np.ascontiguousarray(samples[s : s + k])
+            # ``np.linalg.norm``'s own operations, with one temporary fewer.
+            diff = x - obs[s : s + k, None]
+            np.multiply(diff, diff, out=diff)
+            obs_dist = np.sqrt(np.add.reduce(diff, axis=-1))
+            if beta != 1.0:
+                obs_dist **= beta
+            scores[s : s + k] = obs_dist.mean(axis=1) - 0.5 * _pair_gram(x, beta, work)
     return _nonnegative(scores)
 
 

@@ -25,7 +25,7 @@ from numpy.typing import NDArray
 
 from .crps import ESTIMATORS, _check_n_quantiles, _crps_batch
 from .crps import _quantile as _crps_quantile_batch  # the name the traced bench reports
-from .multivariate import _check_beta, _energy_batch
+from .multivariate import _TILE, _bands, _check_beta, _energy_batch, _workspace
 
 __all__ = [
     "GaussianSpec",
@@ -161,6 +161,12 @@ def _check_cell_args(
     return n_windows, window_size, _check_n_quantiles(n_quantiles), _check_beta(beta)
 
 
+def _chunk_windows(window_size: int) -> int:
+    """Windows per chunk of a cell: ~_TILE drawn values, in whole ES stacks."""
+    k = _bands(window_size)[1]
+    return k * max(1, _TILE // (2 * window_size * k))
+
+
 def run_sensitivity_cell(
     rho: float,
     varrho: float,
@@ -186,15 +192,30 @@ def run_sensitivity_cell(
     model_factor = _bivariate_factor(float(varrho))
 
     obs = rng.standard_normal((n_windows, 2)) @ data_factor.T
-    z = rng.standard_normal((n_windows, window_size, 2))
-    samples = z @ model_factor.T
-
-    # The sum over D = 2 as one addition: the same bits as ``sum(axis=2)``
-    # (bar a pair of -0.0s, which a Gaussian draw does not give), without
-    # the cost of a reduce over a length-2 axis.
-    summed = samples[..., 0] + samples[..., 1]
-    cs_values = _crps_quantile_batch(summed, obs.sum(axis=1), n_quantiles)
-    es_values = _energy_batch(samples, obs, beta=beta)
+    obs_sum = obs.sum(axis=1)
+    cs_values = np.empty(n_windows)
+    es_values = np.empty(n_windows)
+    # The windows are drawn, transformed and scored a chunk at a time, in
+    # scratch reused by every chunk: successive draws continue one stream,
+    # and every score is per window, so the values are those of one draw of
+    # the whole cell, in memory that does not grow with n_windows.
+    chunk = _chunk_windows(window_size)
+    size = 2 * min(chunk, n_windows) * window_size
+    with _workspace(2 * size) as work:
+        z_buf, samples_buf = work[:size], work[size:]
+        for s in range(0, n_windows, chunk):
+            m = min(chunk, n_windows - s)
+            z = z_buf[: 2 * m * window_size].reshape(m, window_size, 2)
+            rng.standard_normal(out=z)
+            samples = np.matmul(z, model_factor.T, out=samples_buf[: z.size].reshape(z.shape))
+            # The sum over D = 2 as one addition, into z's buffer: the same
+            # bits as ``sum(axis=2)`` (bar a pair of -0.0s, which a Gaussian
+            # draw does not give), without the cost of a reduce over a
+            # length-2 axis.
+            summed = np.add(samples[..., 0], samples[..., 1],
+                            out=z_buf[: m * window_size].reshape(m, window_size))
+            cs_values[s : s + m] = _crps_quantile_batch(summed, obs_sum[s : s + m], n_quantiles)
+            es_values[s : s + m] = _energy_batch(samples, obs[s : s + m], beta=beta)
 
     return CellScores(
         rho=float(rho),
@@ -399,6 +420,8 @@ def _timed_cell(task: tuple[SensitivityConfig, int, int]) -> tuple[CellScores, f
 def _run_grid(config: SensitivityConfig) -> tuple[SensitivityGridReport, dict]:
     """``run_sensitivity_grid``, plus the run's facts for the manifest: the
     worker count and the min, median and max seconds of a cell."""
+    import numpy.random  # noqa: F401  (once here, not in every forked worker)
+
     tasks = [(config, i, j)
              for i in range(len(config.rho_list)) for j in range(len(config.varrho_list))]
     workers = _workers(len(tasks))

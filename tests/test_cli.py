@@ -844,6 +844,18 @@ def test_dump_rejections_keep_the_row_loop_message(tmp_path, capsys, body, messa
     assert capsys.readouterr().err == f"error: --ensemble: {message}\n"
 
 
+def test_a_dump_field_over_the_csv_limit_names_its_row(tmp_path, capsys):
+    """A field longer than ``csv.field_size_limit()`` in a dump that the bulk
+    pass refuses is one error line naming the row, and no --out is left."""
+    limit = csv.field_size_limit()
+    body = '"0",0,0,1.0\r\n"1",0,0,' + "1" * (limit + 1) + "\r\n"
+    assert _score_dump(tmp_path, HEADER + body) == 2
+    assert capsys.readouterr().err == (
+        f"error: --ensemble: row 3: field larger than field limit ({limit})\n"
+    )
+    assert not (tmp_path / "s").exists()
+
+
 def test_dump_accepts_what_the_row_loop_accepts(tmp_path):
     """Quoted fields and Unicode digits pass int() and float(), not loadtxt."""
     dump = tmp_path / "dump.csv"

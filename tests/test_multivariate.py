@@ -1,4 +1,6 @@
 """Energy score, CRPS-Sum, and the window-level score report."""
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -242,7 +244,7 @@ def test_point_mass_window_scores_the_same_in_a_mixed_stack(w, beta):
     for i in (0, n - 1):  # in the full stack, and alone in the short one
         samples[i] = samples[i, 0]
     mixed = _energy_batch(samples, obs, beta)
-    work = np.empty(max(multivariate._TILE, w))
+    work = np.empty(multivariate._SCRATCH)
     for i in (0, n - 1):
         alone = _energy_batch(samples[i : i + 1], obs[i : i + 1], beta)
         assert np.array_equal(mixed[i : i + 1], alone)
@@ -303,6 +305,53 @@ def test_energy_kernel_memory_is_bounded(shape):
     finally:
         tracemalloc.stop()
     assert peak < 4e6
+
+
+def test_energy_kernel_reuses_its_workspace():
+    """A second call at the same shape takes its tile and stacks from the
+    process's kept scratch: it allocates less than one tile."""
+    gen = np.random.default_rng(3)
+    samples, obs = gen.standard_normal((64, 128, 2)), gen.standard_normal((64, 2))
+    first = _energy_batch(samples, obs)
+    tracemalloc.start()
+    try:
+        second = _energy_batch(samples, obs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < multivariate._TILE * 8
+    assert np.array_equal(first, second)
+
+
+def test_energy_series_in_concurrent_threads_equals_serial():
+    """Threads that score at the same time share no scratch: one holds the
+    kept buffer, the others allocate their own, and every result is its
+    serial result bit for bit."""
+    gen = np.random.default_rng(4)
+    inputs = [(gen.standard_normal((150, 24, d)), gen.standard_normal((24, d)))
+              for d in (1, 2, 3, 8)]
+    serial = [energy_series(ens, obs) for ens, obs in inputs]
+    start = threading.Barrier(len(inputs))
+    mismatches = []
+
+    def score(i):
+        start.wait()
+        for _ in range(30):
+            if not np.array_equal(energy_series(*inputs[i]), serial[i]):
+                mismatches.append(i)
+
+    threads = [threading.Thread(target=score, args=(i,)) for i in range(len(inputs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert mismatches == []
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -187,6 +188,52 @@ def test_cell_matches_a_fresh_reference(rho, varrho):
     assert cell.crps_sum_mean == float(cs.mean())
     assert cell.crps_sum_stderr == float(cs.std(ddof=1) / math.sqrt(n))
     assert cell.es_mean == float(es.mean())
+
+
+def _unchunked_cell(rho, varrho, n, w, seed):
+    """The cell body that drew all n windows at once, before the chunks:
+    per-window CRPS-Sum and ES values."""
+    rng = np.random.default_rng(seed)
+    obs = rng.standard_normal((n, 2)) @ simulation._bivariate_factor(rho).T
+    samples = rng.standard_normal((n, w, 2)) @ simulation._bivariate_factor(varrho).T
+    summed = samples[..., 0] + samples[..., 1]
+    return _crps_quantile_batch(summed, obs.sum(axis=1), 20), _energy_batch(samples, obs)
+
+
+@pytest.mark.parametrize("w", [128, 400])
+@pytest.mark.parametrize("varrho", [-1.0, 0.3, 1.0])
+def test_chunked_cell_equals_the_whole_draw(w, varrho):
+    """A cell drawn and scored a chunk of windows at a time gives the bits of
+    one draw of all its windows, with a short last chunk or none."""
+    chunk = simulation._chunk_windows(w)
+    for n in (chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
+        cell = run_sensitivity_cell(0.3, varrho, n, w, seed=n)
+        cs, es = _unchunked_cell(0.3, varrho, n, w, seed=n)
+        assert cell.crps_sum_mean == float(cs.mean())
+        assert cell.crps_sum_stderr == float(cs.std(ddof=1) / math.sqrt(n))
+        assert cell.es_mean == float(es.mean())
+        assert cell.es_stderr == float(es.std(ddof=1) / math.sqrt(n))
+
+
+def _cell_peak(n_windows):
+    run_sensitivity_cell(0.0, 0.5, 2, 2)  # imports numpy.random, caches the factors
+    tracemalloc.start()
+    try:
+        run_sensitivity_cell(0.0, 0.5, n_windows, 128)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_cell_memory_grows_only_by_its_per_window_values():
+    """A cell holds one chunk of draws in the kept scratch, and the ES kernel
+    its blocks after them, so a cell of one full chunk allocates less than
+    its 1 MB of chunk buffers; only the observations and per-window scores
+    grow with the window count."""
+    assert _cell_peak(simulation._chunk_windows(128)) < 2 * multivariate._TILE * 8
+    small, large = _cell_peak(4096), _cell_peak(16384)
+    assert small < 4e6
+    assert large - small < 1e6
 
 
 def test_cached_factor_is_read_only():

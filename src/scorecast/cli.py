@@ -452,12 +452,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 temporary.unlink(missing_ok=True)
         print("\n".join([f"{run.summary} -> {out} ({wall:.1f}s)", *run.details]))
         return 0
-    except (CliError, ValueError, OSError) as exc:
+    except BaseException as exc:
         for directory in made:  # leave nothing behind that this run made and left empty
             try:
                 directory.rmdir()
             except OSError:
                 break
+        if not isinstance(exc, (CliError, ValueError, OSError)):
+            raise  # an internal fault keeps its traceback
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

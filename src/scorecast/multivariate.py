@@ -132,12 +132,10 @@ def _bands(w: int) -> tuple[int, int]:
     return r, max(1, _TILE // (r * w))
 
 
-def _pair_gram(x: NDArray[np.float64], beta: float, work: NDArray[np.float64]) -> NDArray[np.float64]:
+def _pair_gram(x: NDArray[np.float64], beta: float) -> NDArray[np.float64]:
     """Mean pair distance of each window in a stack (k, w, D), from the upper
-    triangle of its Gram products in row bands held in ``work``: returns (k,).
+    triangle of its Gram products in row bands: returns (k,).
 
-    ``work`` holds the blocks in its first max(_TILE, w) doubles and the two
-    stacks below, 2 k w (D + 2) doubles, after them.
     The members are centred on the first one, so that nearly equal members
     keep their differences exactly and a point mass gives exact zeros; a
     stack of point masses skips the bands.
@@ -159,30 +157,28 @@ def _pair_gram(x: NDArray[np.float64], beta: float, work: NDArray[np.float64]) -
         return np.zeros(k)
     sq = np.einsum("kij,kij->ki", a, a)
     size = k * w * (d + 2)
-    stacks = work[max(_TILE, w) :]
-    left = stacks[:size].reshape(k, w, d + 2)
-    np.multiply(a, -2.0, out=left[..., :d])  # exact, so each product is -2 a_i.a_j to the last bit
-    left[..., d] = sq
-    left[..., d + 1] = 1.0
-    # C order: each block's columns j >= i are then a contiguous run of every row.
-    right = stacks[size : 2 * size].reshape(k, d + 2, w)
-    right[:, :d] = a.transpose(0, 2, 1)
-    right[:, d] = 1.0
-    right[:, d + 1] = sq
-    rows = _bands(w)[0]
-    below = np.tri(rows, dtype=bool)  # the diagonal and the corner below it
-    total = np.zeros(k)
-    for i in range(0, w, rows):
-        r = min(rows, w - i)
-        blk = work[: k * r * (w - i)].reshape(k, r, w - i)
-        np.matmul(left[:, i : i + r], right[:, :, i:], out=blk)
-        np.maximum(blk, 0.0, out=blk)
-        np.copyto(blk[:, :, :r], 0.0, where=below[:r, :r])
-        if beta == 1.0:
-            np.sqrt(blk, out=blk)
-        else:
-            blk **= 0.5 * beta
-        total += blk.reshape(k, -1).sum(axis=1)
+    tile = max(_TILE, w)
+    with _workspace(tile + 2 * size) as work:  # the block tile, then the two stacks
+        left = work[tile : tile + size].reshape(k, w, d + 2)
+        np.multiply(a, -2.0, out=left[..., :d])  # exact, so each product is -2 a_i.a_j to the last bit
+        left[..., d] = sq
+        left[..., d + 1] = 1.0
+        # C order: each block's columns j >= i are then a contiguous run of every row.
+        right = work[tile + size :].reshape(k, d + 2, w)
+        right[:, :d] = a.transpose(0, 2, 1)
+        right[:, d] = 1.0
+        right[:, d + 1] = sq
+        rows = _bands(w)[0]
+        below = np.tri(rows, dtype=bool)  # the diagonal and the corner below it
+        total = np.zeros(k)
+        for i in range(0, w, rows):
+            r = min(rows, w - i)
+            blk = work[: k * r * (w - i)].reshape(k, r, w - i)
+            np.matmul(left[:, i : i + r], right[:, :, i:], out=blk)
+            np.maximum(blk, 0.0, out=blk)
+            np.copyto(blk[:, :, :r], 0.0, where=below[:r, :r])
+            blk **= 0.5 * beta  # numpy takes np.sqrt for 0.5
+            total += blk.reshape(k, -1).sum(axis=1)
     return 2.0 * total / (w * w)
 
 
@@ -198,26 +194,23 @@ def _energy_batch(
     clamped at 0 and with the diagonal set to 0, each pair computed once; it
     agrees with the (w, w, D) difference form within 1e-13 of the
     observation term.  Every
-    stack reuses one workspace, so no temporary grows with n or w**2, and
-    since the stack shape depends on w alone and each window is reduced over
-    its own contiguous rows, a batch equals its windows scored one by one,
-    bit for bit.  A score that overflows is NaN, never 0.
+    stack reuses the process's kept scratch, so no temporary grows with n or
+    w**2, and since the stack shape depends on w alone and each window is
+    reduced over its own contiguous rows, a batch equals its windows scored
+    one by one, bit for bit.  A score that overflows is NaN, never 0.
     """
-    n, w, d = samples.shape
+    n, w, _ = samples.shape
     k = _bands(w)[1]
     scores = np.empty(n)
-    # The block tile, then the two stacks of a full stack of windows.
-    with _workspace(max(_TILE, w) + 2 * min(k, n) * w * (d + 2)) as work:
-        for s in range(0, n, k):
-            # C order: a strided caller's view would change the order of the means.
-            x = np.ascontiguousarray(samples[s : s + k])
-            # ``np.linalg.norm``'s own operations, with one temporary fewer.
-            diff = x - obs[s : s + k, None]
-            np.multiply(diff, diff, out=diff)
-            obs_dist = np.sqrt(np.add.reduce(diff, axis=-1))
-            if beta != 1.0:
-                obs_dist **= beta
-            scores[s : s + k] = obs_dist.mean(axis=1) - 0.5 * _pair_gram(x, beta, work)
+    for s in range(0, n, k):
+        # C order: a strided caller's view would change the order of the means.
+        x = np.ascontiguousarray(samples[s : s + k])
+        # ``np.linalg.norm``'s own operations, with one temporary fewer.
+        diff = x - obs[s : s + k, None]
+        np.multiply(diff, diff, out=diff)
+        obs_dist = np.sqrt(np.add.reduce(diff, axis=-1))
+        obs_dist **= beta  # after the root: (x**2) ** (beta / 2) is other bits for beta != 1
+        scores[s : s + k] = obs_dist.mean(axis=1) - 0.5 * _pair_gram(x, beta)
     return _nonnegative(scores)
 
 
@@ -236,16 +229,7 @@ def energy_score(samples: ArrayLike, obs: ArrayLike, beta: float = 1.0) -> float
     s = np.asarray(samples, dtype=np.float64)
     if s.ndim != 2:
         raise ValueError(f"samples must have shape (S, D), got {s.shape}")
-    if s.shape[0] < 2:
-        raise ValueError(f"need at least 2 sample paths, got {s.shape[0]}")
-    if s.shape[1] < 1:
-        raise ValueError(f"need at least 1 dimension, got {s.shape[1]}")
-    x = np.asarray(obs, dtype=np.float64).reshape(-1)
-    if x.shape[0] != s.shape[1]:
-        raise ValueError(f"observation has {x.shape[0]} dims, samples have {s.shape[1]}")
-    if not (np.all(np.isfinite(s)) and np.all(np.isfinite(x))):
-        raise ValueError("non-finite values in samples or observation")
-    return float(_energy_batch(s[None], x[None], _check_beta(beta))[0])
+    return float(energy_series(s[:, None], np.reshape(obs, (1, -1)), beta)[0])
 
 
 # Scores of a validated (S, H, D) ensemble against its (H, D) window.  The

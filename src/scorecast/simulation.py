@@ -25,7 +25,7 @@ from numpy.typing import NDArray
 
 from .crps import ESTIMATORS, _check_n_quantiles, _crps_batch
 from .crps import _quantile as _crps_quantile_batch  # the name the traced bench reports
-from .multivariate import _TILE, _bands, _check_beta, _energy_batch, _workspace
+from .multivariate import _TILE, _check_beta, _energy_batch, _workspace
 
 __all__ = [
     "GaussianSpec",
@@ -162,9 +162,8 @@ def _check_cell_args(
 
 
 def _chunk_windows(window_size: int) -> int:
-    """Windows per chunk of a cell: ~_TILE drawn values, in whole ES stacks."""
-    k = _bands(window_size)[1]
-    return k * max(1, _TILE // (2 * window_size * k))
+    """Windows per chunk of a cell: ~_TILE drawn values, at least one window."""
+    return max(1, _TILE // (2 * window_size))
 
 
 def run_sensitivity_cell(

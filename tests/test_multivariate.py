@@ -244,13 +244,28 @@ def test_point_mass_window_scores_the_same_in_a_mixed_stack(w, beta):
     for i in (0, n - 1):  # in the full stack, and alone in the short one
         samples[i] = samples[i, 0]
     mixed = _energy_batch(samples, obs, beta)
-    work = np.empty(multivariate._SCRATCH)
     for i in (0, n - 1):
         alone = _energy_batch(samples[i : i + 1], obs[i : i + 1], beta)
         assert np.array_equal(mixed[i : i + 1], alone)
-        pair = multivariate._pair_gram(samples[i : i + 1], beta, work)
+        pair = multivariate._pair_gram(samples[i : i + 1], beta)
         assert np.array_equal(pair, [0.0]) and not np.signbit(pair[0])
-    assert np.array_equal(multivariate._pair_gram(samples[:2], beta, work)[:1], [0.0])
+    assert np.array_equal(multivariate._pair_gram(samples[:2], beta)[:1], [0.0])
+
+
+def test_power_at_beta_one_is_the_root_and_a_copy():
+    """The kernel raises its squared pair distances to ``0.5 * beta`` and its
+    observation distances to ``beta`` for every beta; at beta = 1 numpy's
+    in-place power gives the bits of ``np.sqrt`` and leaves the array as it
+    was."""
+    gen = np.random.default_rng(5)
+    a = np.concatenate([gen.random(4000) * np.logspace(-300, 300, 4000),
+                        [0.0, 5e-324, 1.0, 2.0, np.inf]])
+    root = a.copy()
+    root **= 0.5
+    assert np.array_equal(root, np.sqrt(a))
+    same = a.copy()
+    same **= 1.0
+    assert np.array_equal(same, a)
 
 
 def test_energy_gram_form_resolves_a_tiny_spread():
@@ -366,11 +381,14 @@ def window_case(rng):
 
 
 def test_energy_series_matches_per_step_scores(window_case):
+    """``energy_score`` of a step's strided view is that step of the series,
+    bit for bit."""
     ens, obs = window_case
-    series = energy_series(ens, obs)
-    assert series.shape == (5,)
-    for t in range(5):
-        assert series[t] == pytest.approx(energy_score(ens[:, t, :], obs[t]), rel=1e-13)
+    for beta in (1.0, 1.5):
+        series = energy_series(ens, obs, beta)
+        assert series.shape == (5,)
+        for t in range(5):
+            assert series[t] == energy_score(ens[:, t, :], obs[t], beta)
 
 
 def test_energy_window_mean_vs_flatten(window_case):

@@ -236,6 +236,29 @@ def test_cell_memory_grows_only_by_its_per_window_values():
     assert large - small < 1e6
 
 
+def test_a_cell_borrows_only_the_kept_scratch(monkeypatch):
+    """Every buffer that a cell and its ES kernel borrow is part of the
+    process's kept scratch, so no cell faults in fresh pages.  At the desk
+    shape (4096 x 128) the cell's chunk and the kernel's tile and stacks
+    fill it exactly."""
+    lent = []
+    workspace = multivariate._workspace
+
+    @contextlib.contextmanager
+    def spy(size):
+        with workspace(size) as work:
+            lent.append(work)
+            yield work
+
+    monkeypatch.setattr(multivariate, "_workspace", spy)
+    monkeypatch.setattr(simulation, "_workspace", spy)
+    for n, w in ((64, 128), (4096, 128), (256, 512)):
+        lent.clear()
+        run_sensitivity_cell(0.0, 0.5, n, w, seed=0)
+        assert len(lent) > 1  # the cell's chunk, then the kernel's stacks
+        assert all(np.shares_memory(work, multivariate._scratch) for work in lent), (n, w)
+
+
 def test_cached_factor_is_read_only():
     factor = simulation._bivariate_factor(0.4)
     assert np.array_equal(factor, bivariate_correlation_spec(0.4).factor())

@@ -161,10 +161,11 @@ def _effective(options: dict, args: argparse.Namespace) -> dict:
 
 
 def _read(flag: str, read, path):
-    """``read(path)``; an OSError, such as a directory given as a file, names the flag."""
+    """``read(path)``; an OSError, such as a directory given as a file, or a
+    ValueError, such as a malformed row, names the flag."""
     try:
         return read(path)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise CliError(f"{flag}: {exc}") from None
 
 
@@ -283,10 +284,7 @@ def _read_ensemble_csv(path: str) -> np.ndarray:
     p = Path(path)
     if not p.exists():
         raise CliError(f"--ensemble: file not found: {p}")
-    try:
-        return load_ensemble_csv(p)
-    except (OSError, ValueError) as exc:
-        raise CliError(f"--ensemble: {exc}") from None
+    return _read("--ensemble", load_ensemble_csv, p)
 
 
 def _cmd_score(effective: dict) -> _Run:

@@ -17,7 +17,7 @@ scales it by every sigma.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain, cycle, repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence, Union
@@ -26,16 +26,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .data import DUMP_HEADER, EvaluationSplit
-from .multivariate import (
-    ScoreReport,
-    _as_ensemble,
-    _as_observation_window,
-    _check_beta,
-    _check_estimator,
-    _check_normalization,
-    _report,
-    _scores,
-)
+from .multivariate import ScoreReport, _check_scoring, _report, _scores
 from .simulation import _fork_map, _workers
 
 if TYPE_CHECKING:
@@ -143,34 +134,14 @@ def _split_rng(master_seed: int, split_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=(master_seed, split_index)))
 
 
-def _check_scoring(
+def _check_evaluation(
     splits: Sequence[EvaluationSplit], estimator: str, n_quantiles: int, beta: float,
     normalization: str,
 ) -> float:
-    """Check the scoring arguments of a split evaluation; returns beta."""
+    """Check the splits and scoring options of a split evaluation; returns beta."""
     if not splits:
         raise ValueError("no evaluation splits given")
-    _check_estimator(estimator, n_quantiles)
-    _check_normalization(normalization)
-    return _check_beta(beta)
-
-
-def _score_split(
-    ensemble: NDArray[np.float64], target_window, estimator: str, n_quantiles: int, beta: float
-) -> tuple:
-    """(CRPS (H, D), CRPS-Sum (H,), ES (H,), window) of one split's forecast,
-    its ensemble and window checked once."""
-    ens = _as_ensemble(ensemble)
-    window = _as_observation_window(target_window, ens)
-    return (*_scores(ens, window, estimator, n_quantiles, beta), window)
-
-
-def _pool(scored: list[tuple], normalization: str, estimator: str, n_quantiles: int,
-          seed: int) -> ScoreReport:
-    """One report of every split's scores: the per-step series (and the
-    observation windows) are concatenated and aggregated once."""
-    parts = (np.concatenate(part, axis=0) for part in zip(*scored))
-    return _report(*parts, normalization, estimator, n_quantiles, seed)
+    return _check_scoring(estimator, n_quantiles, beta, normalization)
 
 
 def forecast_and_score_splits(
@@ -193,17 +164,17 @@ def forecast_and_score_splits(
         (ensembles, per_split_reports, pooled_report), where ensembles[k] is
         the (S, H, D) forecast scored for splits[k].
     """
-    beta = _check_scoring(splits, estimator, n_quantiles, beta, normalization)
+    beta = _check_evaluation(splits, estimator, n_quantiles, beta, normalization)
     ensembles = []
     scored = []  # (mat, cs, es, window) per split
     for split in splits:
         rng = _split_rng(cfg.seed, split.split_index)
         ensemble = make_dummy_forecast(split.input_window, split.target_window.shape[0], cfg, rng)
         ensembles.append(ensemble)
-        scored.append(_score_split(ensemble, split.target_window, estimator, n_quantiles, beta))
-    per_split = [_report(*parts, normalization, estimator, n_quantiles, cfg.seed)
+        scored.append(_scores(ensemble, split.target_window, estimator, n_quantiles, beta))
+    per_split = [_report([parts], normalization, estimator, n_quantiles, cfg.seed)
                  for parts in scored]
-    return ensembles, per_split, _pool(scored, normalization, estimator, n_quantiles, cfg.seed)
+    return ensembles, per_split, _report(scored, normalization, estimator, n_quantiles, cfg.seed)
 
 
 def evaluate_dummy_on_splits(
@@ -251,33 +222,33 @@ def sigma_sweep(
     Each split's standard normals z are drawn once, from the split's own
     stream, and every sigma scores ``loc + sigma * z``: the ensembles of
     ``evaluate_dummy_on_splits`` at that sigma, bit for bit.  So score
-    differences across the sweep reflect the noise scale alone.  Every
-    sigma is checked before the first one is scored.  The draws are made
-    here, in split order; the (sigma, split) scorings run over one worker
-    per CPU (``simulation._fork_map``), with the same rows for any count.
+    differences across the sweep reflect the noise scale alone.  The
+    splits, the scoring options, the kind, the ensemble size, the seed and
+    every sigma are checked before anything is drawn, also for an empty
+    sigma list.  The draws are made here, in split order; the (sigma, split)
+    scorings run over one worker per CPU (``simulation._fork_map``), with the
+    same rows for any count.
     """
-    configs = [DummyConfig(kind=kind, sigma=sigma, n_samples=n_samples, seed=seed)
-               for sigma in sigma_list]
+    beta = _check_evaluation(splits, estimator, n_quantiles, beta, normalization)
+    base = DummyConfig(kind=kind, n_samples=n_samples, seed=seed)  # checks all but sigma
+    configs = [replace(base, sigma=sigma) for sigma in sigma_list]
     if not configs:
         return []
-    beta = _check_scoring(splits, estimator, n_quantiles, beta, normalization)
-    first = configs[0]  # the checked kind, ensemble size and seed
-    draws = [_draw(split.input_window, split.target_window.shape[0], first.kind,
-                   first.n_samples, _split_rng(first.seed, split.split_index))
+    draws = [_draw(split.input_window, split.target_window.shape[0], base.kind,
+                   base.n_samples, _split_rng(base.seed, split.split_index))
              for split in splits]
 
     def score(task: tuple[float, int]) -> tuple:
         sigma, k = task
         loc, z = draws[k]
-        return _score_split(loc + sigma * z, splits[k].target_window, estimator, n_quantiles,
-                            beta)
+        return _scores(loc + sigma * z, splits[k].target_window, estimator, n_quantiles, beta)
 
     tasks = [(cfg.sigma, k) for cfg in configs for k in range(len(splits))]
     scored = _fork_map(score, tasks, _workers(len(tasks)))  # (mat, cs, es, window) per task
     rows = []
     for i, cfg in enumerate(configs):
         parts = scored[i * len(splits):(i + 1) * len(splits)]
-        pooled = _pool(parts, normalization, estimator, n_quantiles, cfg.seed)
+        pooled = _report(parts, normalization, estimator, n_quantiles, cfg.seed)
         rows.append(SigmaSweepRow(sigma=cfg.sigma, crps_sum=pooled.crps_sum,
                                   crps=pooled.crps_aggregate, es=pooled.energy_score))
     return rows

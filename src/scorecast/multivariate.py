@@ -77,11 +77,15 @@ def _check_estimator(estimator: str, n_quantiles: int) -> None:
         _check_n_quantiles(n_quantiles)
 
 
-def _check_normalization(normalization: str) -> None:
+def _check_scoring(estimator: str, n_quantiles: int, beta: float, normalization: str) -> float:
+    """Check a report's scoring options, before any array is read; returns beta."""
     if normalization not in NORMALIZATION_MODES:
         raise ValueError(
             f"unknown normalization {normalization!r}; choose from {NORMALIZATION_MODES}"
         )
+    beta = _check_beta(beta)
+    _check_estimator(estimator, n_quantiles)
+    return beta
 
 
 # Doubles per block of the ES pair term (512 KB, a core's share of L2).  A
@@ -234,7 +238,9 @@ def energy_score(samples: ArrayLike, obs: ArrayLike, beta: float = 1.0) -> float
 
 # Scores of a validated (S, H, D) ensemble against its (H, D) window.  The
 # public functions below check their arguments and call one of these;
-# ``score_report`` and the dummy forecasters check theirs once and call ``_scores``.
+# ``score_report`` and the dummy forecasters check their options once with
+# ``_check_scoring`` and score each window with ``_scores``, which checks the
+# window's arrays itself.
 
 def _energy_steps(
     ens: NDArray[np.float64], window: NDArray[np.float64], beta: float
@@ -258,14 +264,18 @@ def _crps_sum_steps(
 
 
 def _scores(
-    ens: NDArray[np.float64], window: NDArray[np.float64], estimator: str, n_quantiles: int,
-    beta: float,
-) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
-    """Pointwise CRPS (H, D), summed-series CRPS (H,) and energy scores (H,)."""
+    ensemble: ArrayLike, obs: ArrayLike, estimator: str, n_quantiles: int, beta: float,
+) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
+    """Pointwise CRPS (H, D), summed-series CRPS (H,), energy scores (H,) and
+    the (H, D) window, the ensemble and window checked once; the options
+    must have passed ``_check_scoring``."""
+    ens = _as_ensemble(ensemble)
+    window = _as_observation_window(obs, ens)
     return (
         _crps_cells(ens, window, estimator, n_quantiles),
         _crps_sum_steps(ens, window, estimator, n_quantiles),
         _energy_steps(ens, window, beta),
+        window,
     )
 
 
@@ -350,16 +360,14 @@ class ScoreReport:
 
 
 def _report(
-    mat: NDArray[np.float64],
-    cs_series: NDArray[np.float64],
-    es_series: NDArray[np.float64],
-    window: NDArray[np.float64],
-    normalization: str,
-    estimator: str,
-    n_quantiles: int,
+    scored: list[tuple], normalization: str, estimator: str, n_quantiles: int,
     seed: Optional[int],
 ) -> ScoreReport:
-    """Aggregate pointwise scores into a report, raw or target-normalized.
+    """One report of the ``_scores`` tuples of one or more windows: their
+    per-step scores and windows are concatenated along the steps and
+    aggregated once, raw or target-normalized, so that pooled
+    target-normalized scores are total score mass over total target
+    magnitude, not a mean of per-window ratios.
 
     Target normalization divides accumulated scores by the accumulated
     absolute magnitude of the corresponding targets: pointwise CRPS and the
@@ -367,6 +375,7 @@ def _report(
     dimension whose observations are all zero has no scale: its per-dimension
     value is NaN.
     """
+    mat, cs_series, es_series, window = (np.concatenate(part) for part in zip(*scored))
     if normalization == "raw":
         per_dim = mat.mean(axis=0)
         aggregate, cs_value, es_value = mat.mean(), cs_series.mean(), es_series.mean()
@@ -416,10 +425,6 @@ def score_report(
         seed: optional seed recorded for provenance (the seed that generated
             the ensemble); not used for any computation here.
     """
-    _check_normalization(normalization)
-    beta = _check_beta(beta)
-    ens = _as_ensemble(ensemble)
-    window = _as_observation_window(obs, ens)
-    _check_estimator(estimator, n_quantiles)
-    return _report(*_scores(ens, window, estimator, n_quantiles, beta), window,
+    beta = _check_scoring(estimator, n_quantiles, beta, normalization)
+    return _report([_scores(ensemble, obs, estimator, n_quantiles, beta)],
                    normalization, estimator, n_quantiles, seed)

@@ -17,7 +17,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import scorecast
 from scorecast import __version__, forecasters, reporting, simulation
 from scorecast.cli import COMMANDS, _read_ensemble_csv, build_parser, main
-from scorecast.data import _bulk_ensemble, _dump_rows, load_multivariate_csv
+from scorecast.crps import ESTIMATORS
+from scorecast.data import (
+    _bulk_ensemble,
+    _dump_rows,
+    load_multivariate_csv,
+    make_rolling_splits,
+)
 from scorecast.forecasters import ensemble_to_csv
 from scorecast.multivariate import score_report
 from scorecast.reporting import artifact_version
@@ -654,6 +660,28 @@ def test_score_command_matches_library(tmp_path, stored_case):
     assert float(got["es"]) == pytest.approx(want.energy_score, rel=1e-15)
 
 
+@pytest.mark.parametrize("estimator", ESTIMATORS)
+def test_score_on_a_dump_reproduces_its_split_row(tmp_path, synthetic_series,
+                                                  synthetic_series_file, estimator):
+    """``score`` on an ``exchange-eval`` sample dump, against that split's
+    target window, writes the split's row of ``scores.csv``."""
+    eval_out = tmp_path / "eval"
+    run_ok(["exchange-eval", "--data", str(synthetic_series_file), "--kind", "multi",
+            "--samples", "200", "--batches", "3", "--seed", "5", "--estimator", estimator,
+            "--dump-samples", "--out", str(eval_out)])
+    _, _, rows = read_report_csv(eval_out / "scores.csv")
+    splits = make_rolling_splits(synthetic_series, n_batches=3, horizon=30, input_length=30)
+    for split in splits:
+        obs_path = tmp_path / f"obs_{split.split_index}.csv"
+        write_table(obs_path, split.target_window)
+        out = tmp_path / f"score_{split.split_index}"
+        run_ok(["score", "--ensemble", str(eval_out / f"samples_split_{split.split_index}.csv"),
+                "--obs", str(obs_path), "--normalize", "target", "--estimator", estimator,
+                "--seed", "5", "--out", str(out)])
+        _, _, (row,) = read_report_csv(out / "score.csv")
+        assert [f"split_{split.split_index}", *row] == rows[split.split_index]
+
+
 def test_score_rerun_is_byte_identical(tmp_path, stored_case):
     _, _, ens_path, obs_path = stored_case
     out = tmp_path / "score"
@@ -925,7 +953,25 @@ def test_table_with_a_byte_outside_ascii_names_file_and_row(tmp_path, stored_cas
     obs.write_text("1.0,2.0\n3.0,4.0\u00e9\n", encoding="utf-8")
     assert main(["score", "--ensemble", str(ens_path), "--obs", str(obs),
                  "--out", str(tmp_path / "s")]) == 2
-    assert capsys.readouterr().err == f"error: {obs}: row 2: byte 0xc3 is not ASCII\n"
+    assert capsys.readouterr().err == f"error: --obs: {obs}: row 2: byte 0xc3 is not ASCII\n"
+
+
+@pytest.mark.parametrize("command, message", [
+    ("score", "--obs: row 2, column 2: could not parse 'x' as a number"),
+    ("exchange-eval", "--data: row 1: expected 8 columns, found 2"),
+    ("sigma-sweep", "--data: row 1: expected 8 columns, found 2"),
+])
+def test_a_malformed_table_names_its_flag(tmp_path, stored_case, capsys, command, message):
+    """A table that does not parse is named by its flag, as a bad dump is."""
+    _, _, ens_path, _ = stored_case
+    bad = tmp_path / "bad.csv"
+    bad.write_text("1,2\n3,x\n")
+    inputs = (["--ensemble", str(ens_path), "--obs", str(bad)] if command == "score"
+              else ["--data", str(bad)])
+    out = tmp_path / "out"
+    assert main([command, *inputs, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_dump_write_memory_is_bounded(tmp_path):

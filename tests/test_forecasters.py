@@ -19,7 +19,7 @@ from scorecast.forecasters import (
     sigma_sweep,
 )
 
-from conftest import assert_no_children
+from conftest import BAD_SCORING_OPTIONS, assert_no_children, fail_on_read
 
 
 @pytest.fixture
@@ -157,6 +157,20 @@ def test_bad_beta_is_rejected_before_forecasting(splits, monkeypatch):
         forecast_and_score_splits(splits, DummyConfig(n_samples=8), beta=3.0)
 
 
+@pytest.mark.parametrize("options, match", BAD_SCORING_OPTIONS)
+@pytest.mark.parametrize("evaluate", [
+    lambda splits, **options: forecast_and_score_splits(splits, DummyConfig(n_samples=8),
+                                                        **options),
+    lambda splits, **options: sigma_sweep("multivariate", [1e-3], splits, n_samples=8,
+                                          **options),
+], ids=["forecast_and_score_splits", "sigma_sweep"])
+def test_split_evaluations_check_every_option_before_reading_arrays(splits, monkeypatch,
+                                                                    evaluate, options, match):
+    monkeypatch.setattr(multivariate, "_as_ensemble", fail_on_read)
+    with pytest.raises(ValueError, match=match):
+        evaluate(splits, **options)
+
+
 def test_evaluate_is_deterministic(splits):
     cfg = DummyConfig(kind="univariate", sigma=1e-4, n_samples=40, seed=4)
     a_split, a_pool = evaluate_dummy_on_splits(splits, cfg)
@@ -251,6 +265,33 @@ def test_sigma_sweep_checks_every_sigma_before_scoring(splits, monkeypatch):
         sigma_sweep("multivariate", [0.1, 0.01, float("nan")], splits, n_samples=8)
 
 
+def test_sigma_sweep_of_no_sigmas_checks_the_splits_first():
+    """An empty sigma list is checked as a full one is; it returned [] for
+    any arguments."""
+    with pytest.raises(ValueError, match="no evaluation splits"):
+        sigma_sweep("bogus", [], [], n_samples=-3, seed=-1, estimator="nope",
+                    normalization="x", beta=9)
+
+
+@pytest.mark.parametrize("kind, options, match", [
+    ("multivariate", {"estimator": "nope"}, "unknown estimator"),
+    ("bogus", {}, "unknown dummy kind"),
+    ("multivariate", {"n_samples": 1}, "at least 2 samples"),
+    ("multivariate", {"seed": -1}, "non-negative"),
+])
+def test_sigma_sweep_of_no_sigmas_checks_each_argument(splits, kind, options, match):
+    with pytest.raises(ValueError, match=match):
+        sigma_sweep(kind, [], splits, **options)
+
+
+def test_sigma_sweep_of_no_sigmas_draws_nothing(splits, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("drew for an empty sigma list")
+
+    monkeypatch.setattr(forecasters, "_split_rng", unreachable)
+    assert sigma_sweep("univariate", [], splits, n_samples=8) == []
+
+
 @pytest.mark.parametrize("kind", DUMMY_KINDS)
 @pytest.mark.parametrize("sigma", [1e-20, 1e-12, 1e-2, 3.7])
 def test_dummy_forecast_is_a_normal_draw(kind, sigma):
@@ -302,7 +343,6 @@ def test_each_split_is_validated_once(splits, monkeypatch):
         checked.append(1)
         return as_ensemble(ensemble)
 
-    monkeypatch.setattr(forecasters, "_as_ensemble", spy)
     monkeypatch.setattr(multivariate, "_as_ensemble", spy)
     forecast_and_score_splits(splits, DummyConfig(n_samples=8))
     assert len(checked) == len(splits)
@@ -337,14 +377,14 @@ def test_sigma_sweep_is_the_same_for_any_worker_count(splits, synthetic_series_f
 
 def test_an_error_in_a_sweep_worker_reaches_the_caller(splits, monkeypatch):
     caller = os.getpid()
-    score_split = forecasters._score_split
+    scores = forecasters._scores
 
     def failing(ensemble, *args):
         if os.getpid() != caller:
             raise ValueError(f"scoring failed in process {os.getpid()}")
-        return score_split(ensemble, *args)
+        return scores(ensemble, *args)
 
-    monkeypatch.setattr(forecasters, "_score_split", failing)
+    monkeypatch.setattr(forecasters, "_scores", failing)
     monkeypatch.setattr(forecasters, "_workers", lambda n_tasks: 2)
     with pytest.raises(ValueError, match="scoring failed in process") as info:
         sigma_sweep("multivariate", [1e-3, 1e-4], splits, n_samples=8)

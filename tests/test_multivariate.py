@@ -23,6 +23,8 @@ from scorecast.cli import build_parser
 from scorecast.crps import ESTIMATORS, _crps_batch
 from scorecast.multivariate import ScoreReport, _bands, _energy_batch
 
+from conftest import BAD_SCORING_OPTIONS, fail_on_read
+
 
 # ---------------------------------------------------------------------------
 # energy score
@@ -573,6 +575,15 @@ def test_score_report_checks_beta_before_scoring(monkeypatch, beta):
     ens = np.random.default_rng(6).standard_normal((8, 3, 2))
     with pytest.raises(ValueError, match="beta"):
         score_report(ens, np.zeros((3, 2)), beta=beta)
+
+
+@pytest.mark.parametrize("options, match", BAD_SCORING_OPTIONS)
+def test_score_report_checks_every_option_before_reading_arrays(monkeypatch, options, match):
+    """Normalization, beta, estimator and quantile count are rejected before
+    the ensemble is read, even one of the wrong shape."""
+    monkeypatch.setattr(multivariate, "_as_ensemble", fail_on_read)
+    with pytest.raises(ValueError, match=match):
+        score_report(np.zeros(3), np.zeros(3), **options)
 
 
 @pytest.mark.parametrize("estimator", ESTIMATORS)

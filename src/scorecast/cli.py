@@ -42,7 +42,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__, forecasters, reporting, simulation
-from .crps import ESTIMATORS
+from .crps import ESTIMATORS, crps_gaussian_analytic
 from .data import load_ensemble_csv, load_exchange_rate, load_multivariate_csv, make_rolling_splits
 from .multivariate import NORMALIZATION_MODES, ScoreReport, score_report
 
@@ -191,7 +191,7 @@ def _cmd_convergence(effective: dict) -> _Run:
         sample_sizes=effective["sizes"], n_quantiles=effective["n_quantiles"],
         repeats=effective["repeats"], seed=effective["seed"],
     )
-    analytic = 0.23369497725510105
+    analytic = crps_gaussian_analytic(0.0, 1.0, 0.0)
     return _Run(
         effective,
         {"convergence.csv": reporting.table(simulation.ConvergenceRow, report.rows)},

@@ -202,9 +202,8 @@ def crps_quantile(samples: ArrayLike, x: float, n_quantiles: int = 20) -> float:
     Returns:
         Quantile-based CRPS estimate (non-negative).
     """
-    return float(_quantile(
-        _as_sample_vector(samples), _check_observation(x), _check_n_quantiles(n_quantiles)
-    ))
+    n_quantiles = _check_n_quantiles(n_quantiles)
+    return float(_quantile(_as_sample_vector(samples), _check_observation(x), n_quantiles))
 
 
 def crps_sample_estimate(samples: ArrayLike, x: float, unbiased: bool = False) -> float:

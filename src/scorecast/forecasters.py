@@ -10,9 +10,10 @@ Two deliberately trivial baselines:
 
 Each ensemble is ``loc + sigma * z`` with z standard normal draws, which is
 ``rng.normal(loc, sigma, size)`` bit for bit.  Both are scored over rolling
-splits, each split's draw from its own random stream, and scores can be
-pooled across splits.  A sweep over sigma draws each split's z once and
-scales it by every sigma.
+splits, each split's draw from its own random stream,
+``simulation._stream(seed, split_index)`` whatever the sigma and kind, and
+scores can be pooled across splits.  A sweep over sigma draws each split's
+z once and scales it by every sigma.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from numpy.typing import NDArray
 
 from .data import DUMP_HEADER, EvaluationSplit
 from .multivariate import ScoreReport, _check_scoring, _report, _scores
-from .simulation import _fork_map, _workers
+from .simulation import _fork_map, _stream, _workers
 
 if TYPE_CHECKING:
     from .simulation import RngLike
@@ -128,12 +129,6 @@ def ensemble_to_csv(ensemble: NDArray[np.float64], path: Union[str, Path]) -> No
             ))
 
 
-def _split_rng(master_seed: int, split_index: int) -> np.random.Generator:
-    # Per-split streams are independent of sigma and kind, so sweeps compare
-    # forecasts built from common random numbers.
-    return np.random.default_rng(np.random.SeedSequence(entropy=(master_seed, split_index)))
-
-
 def _check_evaluation(
     splits: Sequence[EvaluationSplit], estimator: str, n_quantiles: int, beta: float,
     normalization: str,
@@ -168,7 +163,7 @@ def forecast_and_score_splits(
     ensembles = []
     scored = []  # (mat, cs, es, window) per split
     for split in splits:
-        rng = _split_rng(cfg.seed, split.split_index)
+        rng = _stream(cfg.seed, split.split_index)
         ensemble = make_dummy_forecast(split.input_window, split.target_window.shape[0], cfg, rng)
         ensembles.append(ensemble)
         scored.append(_scores(ensemble, split.target_window, estimator, n_quantiles, beta))
@@ -235,7 +230,7 @@ def sigma_sweep(
     if not configs:
         return []
     draws = [_draw(split.input_window, split.target_window.shape[0], base.kind,
-                   base.n_samples, _split_rng(base.seed, split.split_index))
+                   base.n_samples, _stream(base.seed, split.split_index))
              for split in splits]
 
     def score(task: tuple[float, int]) -> tuple:

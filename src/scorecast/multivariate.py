@@ -230,6 +230,7 @@ def energy_score(samples: ArrayLike, obs: ArrayLike, beta: float = 1.0) -> float
         obs: length-D observation vector.
         beta: norm exponent in (0, 2); default 1.
     """
+    beta = _check_beta(beta)
     s = np.asarray(samples, dtype=np.float64)
     if s.ndim != 2:
         raise ValueError(f"samples must have shape (S, D), got {s.shape}")
@@ -237,10 +238,10 @@ def energy_score(samples: ArrayLike, obs: ArrayLike, beta: float = 1.0) -> float
 
 
 # Scores of a validated (S, H, D) ensemble against its (H, D) window.  The
-# public functions below check their arguments and call one of these;
-# ``score_report`` and the dummy forecasters check their options once with
-# ``_check_scoring`` and score each window with ``_scores``, which checks the
-# window's arrays itself.
+# public functions below check their options, then their arrays, and call
+# one of these; ``score_report`` and the dummy forecasters check their
+# options once with ``_check_scoring`` and score each window with
+# ``_scores``, which checks the window's arrays itself.
 
 def _energy_steps(
     ens: NDArray[np.float64], window: NDArray[np.float64], beta: float
@@ -281,9 +282,10 @@ def _scores(
 
 def energy_series(ensemble: ArrayLike, obs: ArrayLike, beta: float = 1.0) -> NDArray[np.float64]:
     """Per-step energy scores over the horizon: returns an (H,) array."""
+    beta = _check_beta(beta)
     ens = _as_ensemble(ensemble)
     window = _as_observation_window(obs, ens)
-    return _energy_steps(ens, window, _check_beta(beta))
+    return _energy_steps(ens, window, beta)
 
 
 def crps_matrix(
@@ -293,9 +295,9 @@ def crps_matrix(
     n_quantiles: int = 20,
 ) -> NDArray[np.float64]:
     """Pointwise CRPS for every (step, dimension) cell: returns (H, D)."""
+    _check_estimator(estimator, n_quantiles)
     ens = _as_ensemble(ensemble)
     window = _as_observation_window(obs, ens)
-    _check_estimator(estimator, n_quantiles)
     return _crps_cells(ens, window, estimator, n_quantiles)
 
 
@@ -311,9 +313,9 @@ def crps_sum_series(
     each path, observations summed across D) and scores it with the chosen
     univariate estimator.
     """
+    _check_estimator(estimator, n_quantiles)
     ens = _as_ensemble(ensemble)
     window = _as_observation_window(obs, ens)
-    _check_estimator(estimator, n_quantiles)
     return _crps_sum_steps(ens, window, estimator, n_quantiles)
 
 

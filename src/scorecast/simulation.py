@@ -2,11 +2,11 @@
 sensitivity grid for CRPS-Sum / Energy Score, and the CRPS estimator
 convergence benchmark.
 
-All randomness flows through numpy Generators derived from explicit seeds;
-every grid cell and every study configuration gets its own independent
-stream (via SeedSequence spawn keys), so results are reproducible and do not
-depend on execution order.  That lets the grid run its cells over worker
-processes with the same results for any worker count.
+All randomness flows through ``_stream``: every grid cell, audit split and
+convergence repeat draws from the Generator of its own entropy key, which
+``SeedSequence`` zero-pads to 4 words, so results are reproducible and do not
+depend on execution order, and the grid and the sigma sweep give the same
+results over any number of worker processes.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ import pickle
 import signal
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Callable, NoReturn, Optional, Sequence, Union
 
 import numpy as np
@@ -142,8 +142,8 @@ class CellScores:
     varrho: float
     crps_sum_mean: float
     es_mean: float
-    crps_sum_stderr: float
-    es_stderr: float
+    stderr_crps_sum: float
+    stderr_es: float
     n_windows: int
     window_size: int
 
@@ -221,8 +221,8 @@ def run_sensitivity_cell(
         varrho=float(varrho),
         crps_sum_mean=float(cs_values.mean()),
         es_mean=float(es_values.mean()),
-        crps_sum_stderr=float(cs_values.std(ddof=1) / math.sqrt(n_windows)),
-        es_stderr=float(es_values.std(ddof=1) / math.sqrt(n_windows)),
+        stderr_crps_sum=float(cs_values.std(ddof=1) / math.sqrt(n_windows)),
+        stderr_es=float(es_values.std(ddof=1) / math.sqrt(n_windows)),
         n_windows=n_windows,
         window_size=window_size,
     )
@@ -299,10 +299,20 @@ class SensitivityGridReport:
     cells: list[GridCell] = field(default_factory=list)  # row-major: rho, then varrho
 
 
-def _cell_seed(master_seed: int, rho_index: int, varrho_index: int) -> np.random.SeedSequence:
-    """Independent per-cell stream derived from the master seed and the
-    cell's grid indices (order-independent reproducibility)."""
-    return np.random.SeedSequence(entropy=(master_seed, rho_index, varrho_index))
+def _stream(*key: int) -> np.random.Generator:
+    """The Generator of one task's entropy key: the master seed, then the
+    task's indices.  Grid cell (i, j) is ``(seed, i, j)``, split k of a dummy
+    audit ``(seed, k)`` and convergence repeat r ``(seed, estimator index,
+    sample size, quantile count or 0, r)``.
+
+    ``SeedSequence`` zero-pads a key shorter than 4 words, so keys equal once
+    padded give one stream: ``(s, k)``, ``(s, k, 0)`` and ``(s, k, 0, 0)``, not
+    ``(s, k, 0, 0, 0)``; ``default_rng(s)`` is ``(s, 0)``.  Split k's stream is
+    thus grid cell (k, 0)'s, and ``make_dummy_forecast``'s default split 0's; no
+    run uses two such keys.  A new family's key should put a tag that no key
+    here has, say >= 2**31, right after the seed.
+    """
+    return np.random.default_rng(np.random.SeedSequence(entropy=key))
 
 
 def _delta(mean: float, ref: float) -> float:
@@ -313,9 +323,9 @@ def _delta(mean: float, ref: float) -> float:
 
 def _workers(n_tasks: int) -> int:
     """One worker process per CPU this process may run on, at most one per
-    task; one where the platform does not tell the CPUs apart."""
+    task; one where there is no task or the CPUs are not told apart."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    return min(cpus, n_tasks)
+    return max(1, min(cpus, n_tasks))
 
 
 def _fork_map(fn: Callable, items: Sequence, workers: int) -> list:
@@ -324,15 +334,14 @@ def _fork_map(fn: Callable, items: Sequence, workers: int) -> list:
     This process runs items 0, n, 2n, ... of n = ``workers``; each of the
     n - 1 forked children runs its own stride of the same items and sends its
     results back pickled through a pipe, so neither ``fn`` nor an item is
-    ever pickled.  With one worker nothing is forked.  An exception raised in
-    a child is raised here, with its type and message; a child that ends
-    without a readable result is a RuntimeError naming its exit status.  No
-    child outlives the call: on an error the read ends are closed, so that a
-    child blocked writing gets EPIPE, and each child is terminated and waited
-    for.  A child whose parent has died stops before its next item.
+    ever pickled.  With one worker nothing is forked: this process runs every
+    item.  An exception raised in a child is raised here, with its type and
+    message; a child that ends without a readable result is a RuntimeError
+    naming its exit status.  No child outlives the call: on an error the read
+    ends are closed, so that a child blocked writing gets EPIPE, and each
+    child is terminated and waited for.  A child whose parent has died stops
+    before its next item.
     """
-    if workers <= 1:
-        return list(map(fn, items))
     sys.stdout.flush()  # else a child's copy of a buffer could be written twice
     sys.stderr.flush()
     parent = os.getpid()
@@ -410,7 +419,7 @@ def _timed_cell(task: tuple[SensitivityConfig, int, int]) -> tuple[CellScores, f
     started = time.perf_counter()
     cell = run_sensitivity_cell(
         config.rho_list[i], config.varrho_list[j], config.n_windows, config.window_size,
-        seed=_cell_seed(config.seed, i, j),
+        seed=_stream(config.seed, i, j),
         n_quantiles=config.n_quantiles, beta=config.beta,
     )
     return cell, time.perf_counter() - started
@@ -434,18 +443,11 @@ def _run_grid(config: SensitivityConfig) -> tuple[SensitivityGridReport, dict]:
         ref = cells[ref_j]
         report.cells += [
             GridCell(
-                rho=cell.rho,
-                varrho=cell.varrho,
-                crps_sum_mean=cell.crps_sum_mean,
-                es_mean=cell.es_mean,
+                **asdict(cell),
                 delta_rel_crps_sum=(
                     0.0 if j == ref_j else _delta(cell.crps_sum_mean, ref.crps_sum_mean)
                 ),
                 delta_rel_es=0.0 if j == ref_j else _delta(cell.es_mean, ref.es_mean),
-                stderr_crps_sum=cell.crps_sum_stderr,
-                stderr_es=cell.es_stderr,
-                n_windows=cell.n_windows,
-                window_size=cell.window_size,
                 seed=config.seed,
             )
             for j, cell in enumerate(cells)
@@ -526,17 +528,14 @@ def run_convergence_study(
         raise ValueError("sample sizes must be at least 2")
     quantile_counts = [_check_n_quantiles(n) for n in n_quantiles]
 
-    def draw(est_index: int, size: int, nq: int, repeat: int) -> NDArray[np.float64]:
-        ss = np.random.SeedSequence(entropy=(seed, est_index, size, nq, repeat))
-        return np.random.default_rng(ss).standard_normal(size)
-
     rows: list[ConvergenceRow] = []
     for est in estimators:
         est_index = ESTIMATORS.index(est)
         nq_values: Sequence[Optional[int]] = quantile_counts if est == "quantile" else [None]
         for size in sizes:
             for nq in nq_values:
-                draws = np.stack([draw(est_index, size, nq or 0, r) for r in range(repeats)])
+                draws = np.stack([_stream(seed, est_index, size, nq or 0, r).standard_normal(size)
+                                  for r in range(repeats)])
                 values = _crps_batch(draws, np.zeros(repeats), est, nq)
                 rows.append(
                     ConvergenceRow(

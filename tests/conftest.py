@@ -36,22 +36,29 @@ def write_table(path, values):
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
-# Scoring options that every report checks before it reads an array:
-# (keyword arguments, the error's match).
-BAD_SCORING_OPTIONS = [
-    pytest.param({"normalization": "bogus"}, "normalization", id="normalization"),
+# Scoring options that every report, and each public score that takes them,
+# checks before it reads an array: (keyword arguments, the error's match).
+BAD_BETA_OPTIONS = [
     pytest.param({"beta": 0.0}, "beta", id="beta-0"),
     pytest.param({"beta": 2.0}, "beta", id="beta-2"),
     pytest.param({"beta": 3.0}, "beta", id="beta-3"),
+]
+BAD_ESTIMATOR_OPTIONS = [
     pytest.param({"estimator": "bogus"}, "unknown estimator", id="estimator"),
     pytest.param({"estimator": "quantile", "n_quantiles": 0}, "n_quantiles must be positive",
                  id="n_quantiles"),
 ]
+BAD_SCORING_OPTIONS = [
+    pytest.param({"normalization": "bogus"}, "normalization", id="normalization"),
+    *BAD_BETA_OPTIONS,
+    *BAD_ESTIMATOR_OPTIONS,
+]
 
 
 def fail_on_read(*args, **kwargs):
-    """A stand-in for ``multivariate._as_ensemble`` in tests that check an
-    option before any array is read."""
+    """A stand-in for an array check (``multivariate._as_ensemble``,
+    ``crps._as_sample_vector``) in tests that check an option before any
+    array is read."""
     raise AssertionError("read an array before checking the scoring options")
 
 

@@ -17,6 +17,9 @@ from scorecast import (
     crps_sample_estimate,
     pinball_loss,
 )
+from scorecast import crps
+
+from conftest import fail_on_read
 
 NINE_OVER = 26.0 / 9.0  # integral for samples {-3, -1, 0.5} vs x = 2.5
 
@@ -143,6 +146,12 @@ def test_quantile_matches_manual_interpolation_oracle():
 def test_quantile_count_validation():
     with pytest.raises(ValueError):
         crps_quantile([0.0, 1.0], 0.5, n_quantiles=0)
+
+
+def test_quantile_count_is_checked_before_the_samples(monkeypatch):
+    monkeypatch.setattr(crps, "_as_sample_vector", fail_on_read)
+    with pytest.raises(ValueError, match="n_quantiles must be positive"):
+        crps_quantile([1.0], 0.0, n_quantiles=0)
 
 
 def test_estimators_agree_on_moderate_ensembles(rng):

@@ -288,7 +288,7 @@ def test_sigma_sweep_of_no_sigmas_draws_nothing(splits, monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("drew for an empty sigma list")
 
-    monkeypatch.setattr(forecasters, "_split_rng", unreachable)
+    monkeypatch.setattr(forecasters, "_stream", unreachable)
     assert sigma_sweep("univariate", [], splits, n_samples=8) == []
 
 
@@ -323,13 +323,13 @@ def test_sigma_sweep_rows_are_the_evaluations_at_each_sigma(splits, kind, estima
 @pytest.mark.parametrize("n_sigmas", [1, 4])
 def test_sigma_sweep_draws_once_per_split(splits, monkeypatch, n_sigmas):
     streams = []
-    split_rng = forecasters._split_rng
+    stream = forecasters._stream
 
-    def spy(*args):
-        streams.append(args)
-        return split_rng(*args)
+    def spy(*key):
+        streams.append(key)
+        return stream(*key)
 
-    monkeypatch.setattr(forecasters, "_split_rng", spy)
+    monkeypatch.setattr(forecasters, "_stream", spy)
     sigma_sweep("multivariate", [1e-3] * n_sigmas, splits, n_samples=8, seed=2)
     assert streams == [(2, s.split_index) for s in splits]
 

@@ -23,7 +23,7 @@ from scorecast.cli import build_parser
 from scorecast.crps import ESTIMATORS, _crps_batch
 from scorecast.multivariate import ScoreReport, _bands, _energy_batch
 
-from conftest import BAD_SCORING_OPTIONS, fail_on_read
+from conftest import BAD_BETA_OPTIONS, BAD_ESTIMATOR_OPTIONS, BAD_SCORING_OPTIONS, fail_on_read
 
 
 # ---------------------------------------------------------------------------
@@ -584,6 +584,26 @@ def test_score_report_checks_every_option_before_reading_arrays(monkeypatch, opt
     monkeypatch.setattr(multivariate, "_as_ensemble", fail_on_read)
     with pytest.raises(ValueError, match=match):
         score_report(np.zeros(3), np.zeros(3), **options)
+
+
+@pytest.mark.parametrize("score, options, match", [
+    pytest.param(score, *param.values, id=f"{score.__name__}-{param.id}")
+    for score, params in [
+        (energy_score, BAD_BETA_OPTIONS),
+        (energy_series, BAD_BETA_OPTIONS),
+        (crps_matrix, BAD_ESTIMATOR_OPTIONS),
+        (crps_sum_series, BAD_ESTIMATOR_OPTIONS),
+        (crps_sum, BAD_ESTIMATOR_OPTIONS),
+    ]
+    for param in params
+])
+def test_public_scores_check_their_options_before_reading_arrays(monkeypatch, score, options,
+                                                                 match):
+    """Beta, the estimator and the quantile count are rejected before the
+    arrays are read, even ones of the wrong shape."""
+    monkeypatch.setattr(multivariate, "_as_ensemble", fail_on_read)
+    with pytest.raises(ValueError, match=match):
+        score(np.zeros(3), np.zeros(3), **options)
 
 
 @pytest.mark.parametrize("estimator", ESTIMATORS)

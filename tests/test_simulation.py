@@ -12,8 +12,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from scorecast import multivariate, simulation
+from scorecast import forecasters, multivariate, simulation
 from scorecast.cli import main
+from scorecast.data import make_rolling_splits
 from scorecast.reporting import table
 from scorecast.simulation import (
     DEFAULT_RHO_GRID,
@@ -168,7 +169,7 @@ def test_cell_scores_deterministic_and_sane():
     b = run_sensitivity_cell(0.5, 0.2, n_windows=128, window_size=32, seed=11)
     assert a == b
     assert a.crps_sum_mean > 0 and a.es_mean > 0
-    assert a.crps_sum_stderr > 0 and a.es_stderr > 0
+    assert a.stderr_crps_sum > 0 and a.stderr_es > 0
     assert (a.n_windows, a.window_size) == (128, 32)
 
 
@@ -186,7 +187,7 @@ def test_cell_matches_a_fresh_reference(rho, varrho):
     cs = _crps_quantile_batch(samples.sum(axis=2), obs.sum(axis=1), 20)
     es = _energy_batch(samples, obs)
     assert cell.crps_sum_mean == float(cs.mean())
-    assert cell.crps_sum_stderr == float(cs.std(ddof=1) / math.sqrt(n))
+    assert cell.stderr_crps_sum == float(cs.std(ddof=1) / math.sqrt(n))
     assert cell.es_mean == float(es.mean())
 
 
@@ -210,9 +211,9 @@ def test_chunked_cell_equals_the_whole_draw(w, varrho):
         cell = run_sensitivity_cell(0.3, varrho, n, w, seed=n)
         cs, es = _unchunked_cell(0.3, varrho, n, w, seed=n)
         assert cell.crps_sum_mean == float(cs.mean())
-        assert cell.crps_sum_stderr == float(cs.std(ddof=1) / math.sqrt(n))
+        assert cell.stderr_crps_sum == float(cs.std(ddof=1) / math.sqrt(n))
         assert cell.es_mean == float(es.mean())
-        assert cell.es_stderr == float(es.std(ddof=1) / math.sqrt(n))
+        assert cell.stderr_es == float(es.std(ddof=1) / math.sqrt(n))
 
 
 def _cell_peak(n_windows):
@@ -272,7 +273,7 @@ def test_mismatched_model_scores_worse():
     ref = run_sensitivity_cell(0.0, 0.0, n_windows=4096, window_size=128, seed=101)
     off = run_sensitivity_cell(0.0, 0.9, n_windows=4096, window_size=128, seed=202)
     gap = off.es_mean - ref.es_mean
-    assert gap > 3.0 * math.hypot(off.es_stderr, ref.es_stderr)
+    assert gap > 3.0 * math.hypot(off.stderr_es, ref.stderr_es)
 
 
 def test_single_cell_grid_has_zero_deltas():
@@ -356,6 +357,50 @@ def test_grid_is_the_same_for_any_worker_count(micro_grid, monkeypatch, tmp_path
         assert_no_children()
     assert cells[1] == cells[2] == cells[3]
     assert reports[1] == reports[2] == reports[3]
+
+
+def test_a_stream_key_is_read_zero_padded_to_four_words():
+    """``SeedSequence`` pads a key shorter than 4 words with zeros: keys equal
+    once padded give one stream, so split k's stream is grid cell (k, 0)'s."""
+    def draw(*key):
+        return simulation._stream(*key).standard_normal(8)
+
+    assert np.array_equal(draw(0, 3), draw(0, 3, 0))
+    assert np.array_equal(draw(0, 3), draw(0, 3, 0, 0))
+    assert not np.array_equal(draw(0, 3), draw(0, 3, 0, 0, 0))
+    assert not np.array_equal(draw(0, 3), draw(0, 0, 3))
+    assert np.array_equal(np.random.default_rng(7).standard_normal(8), draw(7, 0))
+
+
+def test_each_run_draws_streams_distinct_once_padded(micro_grid, synthetic_series,
+                                                     monkeypatch):
+    """Every task of a grid, a sigma sweep and a convergence study has a key
+    of its own, also once zero-padded to 4 words."""
+    keys = []
+    stream = simulation._stream
+
+    def spy(*key):
+        keys.append(key)
+        return stream(*key)
+
+    monkeypatch.setattr(simulation, "_stream", spy)
+    monkeypatch.setattr(forecasters, "_stream", spy)
+    monkeypatch.setattr(simulation, "_workers", lambda n_tasks: 1)  # every cell drawn here
+    cfg, _ = micro_grid
+    splits = make_rolling_splits(synthetic_series, n_batches=3, horizon=10, input_length=10)
+    runs = {
+        "grid": (lambda: run_sensitivity_grid(cfg), 9),
+        "sweep": (lambda: forecasters.sigma_sweep("multivariate", [1e-2, 1e-9], splits,
+                                                   n_samples=8, seed=cfg.seed), 3),
+        # ecdf and sample: 2 sizes x 3 repeats each; quantile: 2 sizes x 2 counts x 3 repeats.
+        "convergence": (lambda: run_convergence_study(sample_sizes=(10, 20), n_quantiles=(5, 10),
+                                                      repeats=3, seed=cfg.seed), 24),
+    }
+    for name, (run, n_tasks) in runs.items():
+        keys.clear()
+        run()
+        padded = {key + (0,) * (4 - len(key)) for key in keys}
+        assert len(keys) == len(padded) == n_tasks, name
 
 
 def test_one_cell_grid_starts_no_pool(monkeypatch):

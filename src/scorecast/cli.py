@@ -22,8 +22,8 @@ defaults.  Environment variables are never consulted.
 Each command returns its reports, as a ``_Run``, and writes none of them.
 ``main`` alone makes --out, runs the command, writes the sample dumps (over
 one worker per CPU, ``simulation._fork_map``), the reports and
-``run_manifest.json``, and prints the summary; a run that fails
-removes the directories it made and left empty.  The files of a run are
+``run_manifest.json`` (with the run's ``_last_map``), and prints the summary;
+a run that fails removes the directories it made and left empty.  The files of a run are
 written whole: each goes to a temporary file beside its target, and only
 when every one is written are they renamed into place, so a failed write
 leaves the previous run's files as they were.
@@ -127,8 +127,16 @@ def _load_config_file(path: Optional[str]) -> dict:
     if path is None:
         return {}
     p = Path(path)
+
+    def members(pairs: list) -> dict:  # of one JSON object, each option at most once
+        names = [key.replace("-", "_") for key, _ in pairs]
+        for name in names:
+            if names.count(name) > 1:
+                raise CliError(f"--config: {p} gives {_flag(name)} twice")
+        return dict(pairs)
+
     try:
-        payload = json.loads(p.read_text(encoding="utf-8"))
+        payload = json.loads(p.read_text(encoding="utf-8"), object_pairs_hook=members)
     except OSError as exc:
         raise CliError(f"--config: {exc}") from None
     except UnicodeDecodeError as exc:
@@ -177,7 +185,6 @@ class _Run:
     documents: dict[str, dict]  # JSON file -> payload
     summary: str  # printed as "<summary> -> <out> (<wall>s)"
     details: list[str] = field(default_factory=list)  # printed under the summary
-    facts: Optional[dict] = None  # measurements for the manifest alone
     dumps: dict[str, np.ndarray] = field(default_factory=dict)  # sample dump file -> ensemble
 
 
@@ -206,14 +213,13 @@ def _cmd_convergence(effective: dict) -> _Run:
 def _cmd_sensitivity(effective: dict) -> _Run:
     # Every option but --out is a SensitivityConfig field.
     config = simulation.SensitivityConfig(**{k: v for k, v in effective.items() if k != "out"})
-    report, facts = simulation._run_grid(config)
+    report = simulation.run_sensitivity_grid(config)
     return _Run(
         asdict(config) | {"out": effective["out"]},
         {"sensitivity.csv": reporting.table(simulation.GridCell, report.cells)},
         {"sensitivity.json": asdict(report)},
         f"sensitivity: {len(report.cells)} cells "
         f"({config.n_windows} windows x {config.window_size} ensemble)",
-        facts=facts,
     )
 
 
@@ -256,8 +262,6 @@ def _cmd_exchange_eval(effective: dict) -> _Run:
         f"exchange-eval[{cfg.kind}]: {len(splits)} splits",
         [f"  pooled ({pooled.normalization_mode}): crps_sum={pooled.crps_sum:.6f} "
          f"crps={pooled.crps_aggregate:.6f} es={pooled.energy_score:.6f}"],
-        # main writes the sample dumps over this many workers.
-        facts={"workers": simulation._workers(len(dumps))} if dumps else None,
         dumps=dumps,
     )
 
@@ -274,8 +278,6 @@ def _cmd_sigma_sweep(effective: dict) -> _Run:
         {"sigma_sweep.csv": reporting.table(forecasters.SigmaSweepRow, rows)},
         {"sigma_sweep.json": {"rows": [asdict(r) for r in rows]}},
         f"sigma-sweep[{effective['kind']}]: {len(rows)} noise scales",
-        # The sweep maps one scoring per (sigma, split) over this many workers.
-        facts={"workers": simulation._workers(len(rows) * len(splits))},
     )
 
 
@@ -423,6 +425,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise CliError(f"--out: {exc}") from None
+        simulation._last_map.clear()
         run = handler(effective)
         seed = run.config["seed"]
         staged: dict[Path, Path] = {}  # file -> its temporary beside it
@@ -433,8 +436,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
         try:
             dumps = [(ensemble, stage(name)) for name, ensemble in run.dumps.items()]
-            simulation._fork_map(lambda dump: forecasters.ensemble_to_csv(*dump), dumps,
-                                 simulation._workers(len(dumps)))
+            simulation._fork_map(lambda dump: forecasters.ensemble_to_csv(*dump), dumps)
             for name, (columns, rows) in run.tables.items():
                 reporting.write_csv(stage(name), columns, rows,
                                     meta={"seed": seed, "config": run.config})
@@ -442,7 +444,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 reporting.write_json(stage(name), payload, config=run.config)
             wall = time.perf_counter() - started  # recorded in the manifest, so taken before it
             reporting.write_manifest(stage("run_manifest.json"), args.command, run.config, seed,
-                                     wall, run.facts)
+                                     wall, simulation._last_map)
             for target, temporary in staged.items():
                 os.replace(temporary, target)
         finally:

@@ -21,17 +21,14 @@ import math
 from dataclasses import dataclass, replace
 from itertools import chain, cycle, repeat
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .data import DUMP_HEADER, EvaluationSplit
 from .multivariate import ScoreReport, _check_scoring, _report, _scores
-from .simulation import _fork_map, _stream, _workers
-
-if TYPE_CHECKING:
-    from .simulation import RngLike
+from .simulation import _fork_map, _stream
 
 __all__ = [
     "DummyConfig",
@@ -73,15 +70,14 @@ def make_dummy_forecast(
     input_window,
     horizon: int,
     cfg: DummyConfig,
-    rng: RngLike = None,
+    rng: np.random.Generator,
 ) -> NDArray[np.float64]:
-    """Ensemble of shape (S, H, D) drawn from N(loc, sigma^2) for ``cfg.kind``.
+    """Ensemble of shape (S, H, D) drawn with ``rng`` from N(loc, sigma^2) for ``cfg.kind``.
 
     Multivariate: loc is the final input row, so dimension i follows
     N(last_row[i], sigma^2).  Univariate: loc is that row's mean across
     dimensions, one scalar law for every dimension and horizon step.
     """
-    rng = np.random.default_rng(rng if rng is not None else cfg.seed)
     loc, z = _draw(input_window, horizon, cfg.kind, cfg.n_samples, rng)
     return loc + cfg.sigma * z
 
@@ -239,7 +235,7 @@ def sigma_sweep(
         return _scores(loc + sigma * z, splits[k].target_window, estimator, n_quantiles, beta)
 
     tasks = [(cfg.sigma, k) for cfg in configs for k in range(len(splits))]
-    scored = _fork_map(score, tasks, _workers(len(tasks)))  # (mat, cs, es, window) per task
+    scored = _fork_map(score, tasks)  # (mat, cs, es, window) per task
     rows = []
     for i, cfg in enumerate(configs):
         parts = scored[i * len(splits):(i + 1) * len(splits)]

@@ -43,7 +43,7 @@ __all__ = [
 ]
 
 if TYPE_CHECKING:  # annotations alone, so start-up need not import numpy.random
-    RngLike = Union[int, np.random.Generator, np.random.SeedSequence, None]
+    RngLike = Union[int, np.random.Generator, np.random.SeedSequence]
 
 # Paper-scale and reduced desk-scale experiment sizes (windows, ensemble).
 SCALES = {
@@ -171,7 +171,7 @@ def run_sensitivity_cell(
     varrho: float,
     n_windows: int,
     window_size: int,
-    seed: RngLike = None,
+    seed: RngLike,
     n_quantiles: int = 20,
     beta: float = 1.0,
 ) -> CellScores:
@@ -308,9 +308,8 @@ def _stream(*key: int) -> np.random.Generator:
     ``SeedSequence`` zero-pads a key shorter than 4 words, so keys equal once
     padded give one stream: ``(s, k)``, ``(s, k, 0)`` and ``(s, k, 0, 0)``, not
     ``(s, k, 0, 0, 0)``; ``default_rng(s)`` is ``(s, 0)``.  Split k's stream is
-    thus grid cell (k, 0)'s, and ``make_dummy_forecast``'s default split 0's; no
-    run uses two such keys.  A new family's key should put a tag that no key
-    here has, say >= 2**31, right after the seed.
+    thus grid cell (k, 0)'s; no run uses two such keys.  A new family's key
+    should put a tag that no key here has, say >= 2**31, right after the seed.
     """
     return np.random.default_rng(np.random.SeedSequence(entropy=key))
 
@@ -328,20 +327,31 @@ def _workers(n_tasks: int) -> int:
     return max(1, min(cpus, n_tasks))
 
 
-def _fork_map(fn: Callable, items: Sequence, workers: int) -> list:
-    """``list(map(fn, items))`` over ``workers`` processes, in item order.
+_last_map: dict = {}  # "workers" and "task_s" of this process's last non-empty _fork_map
 
-    This process runs items 0, n, 2n, ... of n = ``workers``; each of the
-    n - 1 forked children runs its own stride of the same items and sends its
-    results back pickled through a pipe, so neither ``fn`` nor an item is
-    ever pickled.  With one worker nothing is forked: this process runs every
-    item.  An exception raised in a child is raised here, with its type and
-    message; a child that ends without a readable result is a RuntimeError
-    naming its exit status.  No child outlives the call: on an error the read
-    ends are closed, so that a child blocked writing gets EPIPE, and each
-    child is terminated and waited for.  A child whose parent has died stops
-    before its next item.
+
+def _timed(fn: Callable, item):
+    """``fn(item)`` and the seconds it took, in whichever process runs it."""
+    started = time.perf_counter()
+    result = fn(item)
+    return result, time.perf_counter() - started
+
+
+def _fork_map(fn: Callable, items: Sequence) -> list:
+    """``list(map(fn, items))`` over n = ``_workers(len(items))`` processes, in item order.
+
+    This process runs items 0, n, 2n, ...; each of the n - 1 forked children
+    runs its own stride and pipes back its results, each timed where it ran
+    and pickled, so neither ``fn`` nor an item is ever pickled.  A map over
+    any item leaves n and the min, median and max seconds of an item in
+    ``_last_map``.  An exception raised in a child is raised here, with its
+    type and message; a child that ends without a readable result is a
+    RuntimeError naming its exit status.  No child outlives the call: on an
+    error the read ends are closed, so that a child blocked writing gets
+    EPIPE, and each child is terminated and waited for.  A child whose
+    parent has died stops before its next item.
     """
+    workers = _workers(len(items))
     sys.stdout.flush()  # else a child's copy of a buffer could be written twice
     sys.stderr.flush()
     parent = os.getpid()
@@ -362,7 +372,7 @@ def _fork_map(fn: Callable, items: Sequence, workers: int) -> list:
                 os.close(write)
             children.append((pid, read))
         results: list = [None] * len(items)
-        results[::workers] = [fn(item) for item in items[::workers]]
+        results[::workers] = [_timed(fn, item) for item in items[::workers]]
         for stride, (pid, read) in enumerate(children, 1):
             chunks = []
             while chunk := os.read(read, 1 << 16):
@@ -379,7 +389,14 @@ def _fork_map(fn: Callable, items: Sequence, workers: int) -> list:
             if not ok:
                 raise value
             results[stride::workers] = value
-        return results
+        seconds = sorted(s for _, s in results)
+        if seconds:  # the median by hand: np.median imports numpy.ma, ~14 ms
+            n = len(seconds)
+            _last_map["workers"] = workers
+            median = (seconds[(n - 1) // 2] + seconds[n // 2]) / 2
+            _last_map["task_s"] = {"min": round(seconds[0], 4), "median": round(median, 4),
+                                   "max": round(seconds[-1], 4)}
+        return [result for result, _ in results]
     finally:
         for _, read in children:
             os.close(read)
@@ -391,8 +408,8 @@ def _fork_map(fn: Callable, items: Sequence, workers: int) -> list:
 def _run_stride(fn: Callable, items: Sequence, parent: int, write: int,
                 reads: list[int]) -> NoReturn:
     """A forked child's whole life: ``fn`` over its items, then the pickled
-    ``(True, results)`` or ``(False, exception)`` written to ``write``; it
-    ends with ``os._exit``, so nothing of the parent's runs on its way out."""
+    ``(True, [(result, seconds), ...])`` or ``(False, exception)`` written to
+    ``write``; it ends with ``os._exit``, so none of the parent's code runs."""
     status = 1
     try:
         for read in reads:  # its own read end and its elder siblings'
@@ -402,7 +419,7 @@ def _run_stride(fn: Callable, items: Sequence, parent: int, write: int,
             for item in items:
                 if os.getppid() != parent:
                     return  # an orphan: its results have no reader
-                results.append(fn(item))
+                results.append(_timed(fn, item))
             payload = pickle.dumps((True, results))
         except BaseException as exc:  # raised again in the parent
             payload = pickle.dumps((False, exc))
@@ -413,30 +430,31 @@ def _run_stride(fn: Callable, items: Sequence, parent: int, write: int,
         os._exit(status)
 
 
-def _timed_cell(task: tuple[SensitivityConfig, int, int]) -> tuple[CellScores, float]:
-    """Cell (i, j) of the grid and the seconds it took, in whichever process runs it."""
-    config, i, j = task
-    started = time.perf_counter()
-    cell = run_sensitivity_cell(
-        config.rho_list[i], config.varrho_list[j], config.n_windows, config.window_size,
-        seed=_stream(config.seed, i, j),
-        n_quantiles=config.n_quantiles, beta=config.beta,
-    )
-    return cell, time.perf_counter() - started
+def run_sensitivity_grid(config: SensitivityConfig) -> SensitivityGridReport:
+    """Run every (rho, varrho) cell and attach relative changes.
 
-
-def _run_grid(config: SensitivityConfig) -> tuple[SensitivityGridReport, dict]:
-    """``run_sensitivity_grid``, plus the run's facts for the manifest: the
-    worker count and the min, median and max seconds of a cell."""
+    The cells run over one worker per CPU, this process and forked children
+    (``_fork_map``), each cell on its own stream, so the report is the same
+    for any worker count.  The reference for each data correlation rho is its
+    matched-model cell varrho == rho (the last such column).  The relative
+    change of the reference cell itself is 0 by construction; when a
+    reference mean is not strictly positive (a degenerate summed signal at
+    rho == -1 has CRPS-Sum exactly 0) the relative change is reported as NaN.
+    """
     import numpy.random  # noqa: F401  (once here, not in every forked worker)
 
-    tasks = [(config, i, j)
-             for i in range(len(config.rho_list)) for j in range(len(config.varrho_list))]
-    workers = _workers(len(tasks))
-    scores, seconds = zip(*_fork_map(_timed_cell, tasks, workers))
+    def run_cell(task: tuple[int, int]) -> CellScores:
+        i, j = task
+        return run_sensitivity_cell(
+            config.rho_list[i], config.varrho_list[j], config.n_windows, config.window_size,
+            seed=_stream(config.seed, i, j),
+            n_quantiles=config.n_quantiles, beta=config.beta,
+        )
 
-    report = SensitivityGridReport(config=config)
     n_cols = len(config.varrho_list)
+    tasks = [(i, j) for i in range(len(config.rho_list)) for j in range(n_cols)]
+    scores = _fork_map(run_cell, tasks)
+    report = SensitivityGridReport(config=config)
     for i, rho in enumerate(config.rho_list):
         cells = scores[i * n_cols:(i + 1) * n_cols]
         ref_j = np.flatnonzero(np.isclose(config.varrho_list, rho, atol=1e-9))[-1]
@@ -452,27 +470,7 @@ def _run_grid(config: SensitivityConfig) -> tuple[SensitivityGridReport, dict]:
             )
             for j, cell in enumerate(cells)
         ]
-    facts = {
-        "workers": workers,
-        "cell_s": {"min": round(min(seconds), 4),
-                   "median": round(float(np.median(seconds)), 4),
-                   "max": round(max(seconds), 4)},
-    }
-    return report, facts
-
-
-def run_sensitivity_grid(config: SensitivityConfig) -> SensitivityGridReport:
-    """Run every (rho, varrho) cell and attach relative changes.
-
-    The cells run over one worker per CPU, this process and forked children
-    (``_fork_map``), each cell on its own stream, so the report is the same
-    for any worker count.  The reference for each data correlation rho is its
-    matched-model cell varrho == rho (the last such column).  The relative
-    change of the reference cell itself is 0 by construction; when a
-    reference mean is not strictly positive (a degenerate summed signal at
-    rho == -1 has CRPS-Sum exactly 0) the relative change is reported as NaN.
-    """
-    return _run_grid(config)[0]
+    return report
 
 
 # --------------------------------------------------------------------------

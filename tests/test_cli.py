@@ -90,6 +90,21 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "unknown option" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, flag", [
+    ('{"repeats": 3, "repeats": 2, "sizes": [20]}', "--repeats"),
+    ('{"repeats": 2, "sizes": [20], "n-quantiles": [5], "n_quantiles": [7]}', "--n-quantiles"),
+], ids=["one key twice", "two spellings"])
+def test_config_names_each_option_once(tmp_path, capsys, text, flag):
+    """A config file that gives one option twice, as one key or as its two
+    spellings, is one error line, not a run with the last value."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main(["convergence", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: --config: {cfg} gives {flag} twice\n"
+    assert not out.exists()
+
+
 def test_negative_seed_rejected(tmp_path, capsys):
     assert main(["convergence", "--seed", "-1", "--out", str(tmp_path)]) == 2
     assert "--seed" in capsys.readouterr().err
@@ -212,7 +227,7 @@ def test_bad_path_is_an_error_line(tmp_path, stored_case, synthetic_series_file,
     def unreachable(*args, **kwargs):
         raise AssertionError("the study ran before --out was created")
 
-    monkeypatch.setattr(simulation, "_run_grid", unreachable)
+    monkeypatch.setattr(simulation, "run_sensitivity_grid", unreachable)
     _, _, ens_path, obs_path = stored_case
     directory, a_file = tmp_path / "a_directory", tmp_path / "a_file"
     directory.mkdir()
@@ -263,9 +278,10 @@ def test_a_rejected_run_leaves_no_out_it_made(tmp_path, stored_case, synthetic_s
 def test_an_internal_fault_leaves_no_out_it_made(tmp_path, monkeypatch):
     """A worker that dies is no user error: its RuntimeError leaves ``main``
     with its traceback, after the run removed the directories it made."""
-    parent, cell = os.getpid(), simulation._timed_cell
-    monkeypatch.setattr(simulation, "_timed_cell",
-                        lambda task: os._exit(3) if os.getpid() != parent else cell(task))
+    parent, cell = os.getpid(), simulation.run_sensitivity_cell
+    monkeypatch.setattr(simulation, "run_sensitivity_cell",
+                        lambda *args, **kwargs: os._exit(3) if os.getpid() != parent
+                        else cell(*args, **kwargs))
     monkeypatch.setattr(simulation, "_workers", lambda n: min(2, n))
     made = tmp_path / "a"
     with pytest.raises(RuntimeError, match="exited with status 3"):
@@ -358,11 +374,23 @@ def test_sensitivity_tiny_grid(tmp_path):
     assert doc["config"]["n_windows"] == 24
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert manifest["workers"] == simulation._workers(11 * 21)
-    cell_s = manifest["cell_s"]
-    assert list(cell_s) == ["min", "median", "max"]
-    assert 0 <= cell_s["min"] <= cell_s["median"] <= cell_s["max"] <= manifest["wall_time_s"]
+    task_s = manifest["task_s"]
+    assert list(task_s) == ["min", "median", "max"]
+    assert 0 <= task_s["min"] <= task_s["median"] <= task_s["max"] <= manifest["wall_time_s"]
     # NaNs must be legal-JSON null, not bare NaN tokens
     assert "NaN" not in (out / "sensitivity.json").read_text()
+
+
+def test_a_grid_run_does_not_import_numpy_ma(tmp_path):
+    """The grid's task seconds are summed up without ``np.median``, whose
+    first call imports ``numpy.ma`` (~14 ms)."""
+    code = ("import sys; from scorecast import cli; "
+            f"assert cli.main(['sensitivity', '--n-windows', '2', '--window-size', '2', "
+            f"'--out', {str(tmp_path)!r}]) == 0; "
+            "print('numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_sensitivity_rerun_is_byte_identical(tmp_path):
@@ -563,20 +591,50 @@ def test_sigma_sweep_rerun_is_byte_identical(tmp_path, synthetic_series_file):
 
 def test_sigma_sweep_manifest_records_its_workers(tmp_path, synthetic_series_file, monkeypatch):
     """The manifest's count is the one the sweep's map ran with."""
-    mapped = []
-    fork_map = forecasters._fork_map
+    counted = []
+    workers = simulation._workers
 
-    def spy(fn, items, workers):
-        mapped.append(workers)
-        return fork_map(fn, items, workers)
+    def spy(n_tasks):
+        counted.append(workers(n_tasks))
+        return counted[-1]
 
-    monkeypatch.setattr(forecasters, "_fork_map", spy)
+    monkeypatch.setattr(simulation, "_workers", spy)
     out = tmp_path / "sweep"
     run_ok(["sigma-sweep", "--data", str(synthetic_series_file), "--sigmas", "1e-3,1e-4",
             *EVAL_ARGS, "--out", str(out)])
     manifest = json.loads((out / "run_manifest.json").read_text())
-    assert mapped == [manifest["workers"]]
-    assert manifest["workers"] == simulation._workers(2 * 2)
+    assert counted[0] == manifest["workers"] == workers(2 * 2)  # the first map is the sweep's
+
+
+@pytest.mark.parametrize("command, mapped", [
+    ("sigma-sweep", True), ("exchange-eval --dump-samples", True),
+    ("exchange-eval", False), ("convergence", False), ("score", False),
+])
+def test_a_manifest_records_the_fork_map_of_its_run(tmp_path, synthetic_series_file, stored_case,
+                                                    command, mapped):
+    """A run that maps its tasks records the map's worker count and the min,
+    median and max seconds of a task, within its wall time; a run that maps
+    none records neither, also after a mapped run in the same process."""
+    _, _, ens_path, obs_path = stored_case
+    data = ["--data", str(synthetic_series_file), *EVAL_ARGS]
+    argv = {
+        "sigma-sweep": ["sigma-sweep", *data, "--sigmas", "1e-3,1e-4"],
+        "exchange-eval --dump-samples": ["exchange-eval", *data, "--dump-samples"],
+        "exchange-eval": ["exchange-eval", *data],
+        "convergence": ["convergence", "--sizes", "20", "--repeats", "2"],
+        "score": ["score", "--ensemble", str(ens_path), "--obs", str(obs_path)],
+    }[command]
+    run_ok(["sensitivity", "--n-windows", "2", "--window-size", "2",
+            "--out", str(tmp_path / "grid")])
+    run_ok([*argv, "--out", str(tmp_path / "run")])
+    manifest = json.loads((tmp_path / "run" / "run_manifest.json").read_text())
+    if not mapped:
+        assert "workers" not in manifest and "task_s" not in manifest
+        return
+    assert manifest["workers"] == simulation._workers(4 if command == "sigma-sweep" else 2)
+    task_s = manifest["task_s"]
+    assert list(task_s) == ["min", "median", "max"]
+    assert 0 <= task_s["min"] <= task_s["median"] <= task_s["max"] <= manifest["wall_time_s"]
 
 
 def test_report_csv_headers_are_the_json_row_keys(tmp_path, synthetic_series_file):

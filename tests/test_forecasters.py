@@ -5,7 +5,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from scorecast import crps, forecasters, multivariate
+from scorecast import crps, forecasters, multivariate, simulation
 from scorecast.cli import main
 from scorecast.data import make_rolling_splits
 from scorecast.forecasters import (
@@ -62,7 +62,7 @@ def test_dummy_config_validation():
 
 def test_univariate_dummy_anchors_every_dimension_to_the_row_mean(input_window):
     cfg = DummyConfig(kind="univariate", sigma=1e-6, n_samples=200, seed=8)
-    ens = make_dummy_forecast(input_window, horizon=4, cfg=cfg)
+    ens = make_dummy_forecast(input_window, horizon=4, cfg=cfg, rng=np.random.default_rng(cfg.seed))
     assert ens.shape == (200, 4, 3)
     # with sigma ~ 1e-6 every entry hugs the scalar anchor 2.0
     np.testing.assert_allclose(ens, 2.0, atol=1e-5)
@@ -70,7 +70,7 @@ def test_univariate_dummy_anchors_every_dimension_to_the_row_mean(input_window):
 
 def test_multivariate_dummy_anchors_each_dimension_separately(input_window):
     cfg = DummyConfig(kind="multivariate", sigma=1e-6, n_samples=200, seed=8)
-    ens = make_dummy_forecast(input_window, horizon=4, cfg=cfg)
+    ens = make_dummy_forecast(input_window, horizon=4, cfg=cfg, rng=np.random.default_rng(cfg.seed))
     assert ens.shape == (200, 4, 3)
     np.testing.assert_allclose(ens.mean(axis=(0, 1)), [1.0, 2.0, 3.0], atol=1e-5)
     anchors = np.tile([1.0, 2.0, 3.0], (200, 1))
@@ -79,21 +79,23 @@ def test_multivariate_dummy_anchors_each_dimension_separately(input_window):
 
 def test_dummy_noise_scale_is_respected(input_window):
     cfg = DummyConfig(kind="multivariate", sigma=0.5, n_samples=4000, seed=8)
-    ens = make_dummy_forecast(input_window, horizon=2, cfg=cfg)
+    ens = make_dummy_forecast(input_window, horizon=2, cfg=cfg, rng=np.random.default_rng(cfg.seed))
     centered = ens - np.array([1.0, 2.0, 3.0])  # remove per-dim anchors
     assert centered.std() == pytest.approx(0.5, rel=0.05)
 
 
 def test_dummies_are_deterministic(input_window):
     cfg = DummyConfig(kind="univariate", sigma=1e-3, n_samples=16, seed=21)
-    a = make_dummy_forecast(input_window, 3, cfg)
-    b = make_dummy_forecast(input_window, 3, cfg)
+    a = make_dummy_forecast(input_window, 3, cfg, np.random.default_rng(cfg.seed))
+    b = make_dummy_forecast(input_window, 3, cfg, np.random.default_rng(cfg.seed))
     np.testing.assert_array_equal(a, b)
 
 
 def test_make_dummy_forecast_dispatch(input_window):
-    uni = make_dummy_forecast(input_window, 2, DummyConfig(kind="univariate", seed=5))
-    multi = make_dummy_forecast(input_window, 2, DummyConfig(kind="multivariate", seed=5))
+    uni = make_dummy_forecast(input_window, 2, DummyConfig(kind="univariate", seed=5),
+                              np.random.default_rng(5))
+    multi = make_dummy_forecast(input_window, 2, DummyConfig(kind="multivariate", seed=5),
+                                np.random.default_rng(5))
     assert uni.shape == multi.shape == (400, 2, 3)
     # the two laws genuinely differ on a window whose last row is not constant
     assert abs(uni[:, 0, 0].mean() - multi[:, 0, 0].mean()) > 0.5
@@ -101,9 +103,11 @@ def test_make_dummy_forecast_dispatch(input_window):
 
 def test_dummy_horizon_validation(input_window):
     with pytest.raises(ValueError):
-        make_dummy_forecast(input_window, 0, DummyConfig(kind="univariate"))
+        make_dummy_forecast(input_window, 0, DummyConfig(kind="univariate"),
+                            np.random.default_rng(0))
     with pytest.raises(ValueError):
-        make_dummy_forecast(np.zeros(3), 2, DummyConfig(kind="multivariate"))
+        make_dummy_forecast(np.zeros(3), 2, DummyConfig(kind="multivariate"),
+                            np.random.default_rng(0))
 
 
 def test_ensemble_csv_dump(tmp_path, rng):
@@ -348,7 +352,7 @@ def test_each_split_is_validated_once(splits, monkeypatch):
     assert len(checked) == len(splits)
     checked.clear()
     # One worker, so that every check is made in this process, where it is counted.
-    monkeypatch.setattr(forecasters, "_workers", lambda n_tasks: 1)
+    monkeypatch.setattr(simulation, "_workers", lambda n_tasks: 1)
     sigma_sweep("multivariate", [1e-3, 1e-4, 1e-5], splits, n_samples=8)
     assert len(checked) == 3 * len(splits)
 
@@ -360,7 +364,7 @@ def test_sigma_sweep_is_the_same_for_any_worker_count(splits, synthetic_series_f
     process and over two or three workers; no worker outlives the sweep."""
     rows, reports = {}, {}
     for workers in (1, 2, 3):
-        monkeypatch.setattr(forecasters, "_workers", lambda n_tasks, w=workers: w)
+        monkeypatch.setattr(simulation, "_workers", lambda n_tasks, w=workers: w)
         rows[workers] = repr(sigma_sweep(kind, [1e-2, 1e-7, 1e-20], splits, n_samples=24,
                                          seed=4, estimator="sample"))
         assert_no_children()
@@ -385,7 +389,7 @@ def test_an_error_in_a_sweep_worker_reaches_the_caller(splits, monkeypatch):
         return scores(ensemble, *args)
 
     monkeypatch.setattr(forecasters, "_scores", failing)
-    monkeypatch.setattr(forecasters, "_workers", lambda n_tasks: 2)
+    monkeypatch.setattr(simulation, "_workers", lambda n_tasks: 2)
     with pytest.raises(ValueError, match="scoring failed in process") as info:
         sigma_sweep("multivariate", [1e-3, 1e-4], splits, n_samples=8)
     assert int(str(info.value).rsplit(" ", 1)[1]) != caller  # raised in a worker

@@ -217,10 +217,10 @@ def test_chunked_cell_equals_the_whole_draw(w, varrho):
 
 
 def _cell_peak(n_windows):
-    run_sensitivity_cell(0.0, 0.5, 2, 2)  # imports numpy.random, caches the factors
+    run_sensitivity_cell(0.0, 0.5, 2, 2, seed=0)  # imports numpy.random, caches the factors
     tracemalloc.start()
     try:
-        run_sensitivity_cell(0.0, 0.5, n_windows, 128)
+        run_sensitivity_cell(0.0, 0.5, n_windows, 128, seed=0)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -345,8 +345,8 @@ def test_grid_is_the_same_for_any_worker_count(micro_grid, monkeypatch, tmp_path
     cells, reports = {}, {}
     for workers in (1, 2, 3):
         monkeypatch.setattr(simulation, "_workers", lambda n_cells, w=workers: w)
-        report, facts = simulation._run_grid(cfg)
-        assert facts["workers"] == workers
+        report = run_sensitivity_grid(cfg)
+        assert simulation._last_map["workers"] == workers
         assert_no_children()
         cells[workers] = repr(report.cells)  # shortest round-trip floats: bit for bit
         # One --out for every run: the reports echo it.
@@ -409,8 +409,8 @@ def test_one_cell_grid_starts_no_pool(monkeypatch):
 
     monkeypatch.setattr(os, "fork", no_fork)
     cfg = SensitivityConfig(rho_list=(0.0,), varrho_list=(0.0,), n_windows=16, window_size=8)
-    report, facts = simulation._run_grid(cfg)
-    assert facts["workers"] == 1
+    report = run_sensitivity_grid(cfg)
+    assert simulation._last_map["workers"] == 1
     assert len(report.cells) == 1
 
 
@@ -440,7 +440,8 @@ def test_cli_start_up_does_not_import_multiprocessing():
             "loaded = sorted(m for m in sys.modules if m.startswith('scorecast.')); "
             "random = 'numpy.random' in sys.modules; "
             "from scorecast import simulation; "
-            "assert simulation._fork_map(abs, [-1, -2, -3], 2) == [1, 2, 3]; "
+            "simulation._workers = lambda n_tasks: 2; "
+            "assert simulation._fork_map(abs, [-1, -2, -3]) == [1, 2, 3]; "
             "print(json.dumps([loaded, random, 'multiprocessing' in sys.modules]))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True)
@@ -469,19 +470,53 @@ def _deadline(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3, 5])
+@pytest.fixture
+def workers(request, monkeypatch):
+    """``_workers`` patched to return the parameter, whatever the task count."""
+    monkeypatch.setattr(simulation, "_workers", lambda n_tasks: request.param)
+    return request.param
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 5], indirect=True)
 @pytest.mark.parametrize("n_items", [0, 1, 7])
-def test_fork_map_is_map_in_item_order(workers, n_items):
-    """Items 0, n, 2n, ... run in this process and the rest in children."""
+def test_fork_map_is_map_in_item_order(workers, n_items, monkeypatch):
+    """Items 0, n, 2n, ... run in this process and the rest in children;
+    a map over at least one item leaves its worker count in ``_last_map``,
+    and a map over none leaves ``_last_map`` as it was."""
+    before = {"workers": -1, "task_s": {}}
+    monkeypatch.setattr(simulation, "_last_map", dict(before))
     items = [(k, -k) for k in range(n_items)]
-    got = simulation._fork_map(lambda item: (item, os.getpid()), items, workers)
+    got = simulation._fork_map(lambda item: (item, os.getpid()), items)
     assert [item for item, _ in got] == items
     for k, (_, pid) in enumerate(got):
         assert (pid == os.getpid()) == (k % workers == 0)
+    if n_items:
+        assert simulation._last_map["workers"] == workers
+    else:
+        assert simulation._last_map == before
     assert_no_children()
 
 
-def test_fork_map_raises_while_a_sibling_blocks_on_a_large_result():
+@pytest.mark.parametrize("workers", [1, 3], indirect=True)
+@pytest.mark.parametrize("seconds, task_s", [
+    ([0.3], (0.3, 0.3, 0.3)),
+    ([0.4, 0.123456, 0.2], (0.1235, 0.2, 0.4)),
+    ([0.4, 0.1, 0.3, 0.2], (0.1, 0.25, 0.4)),
+])
+def test_fork_map_reports_the_seconds_of_its_items(workers, seconds, task_s, monkeypatch):
+    """``task_s`` holds the min, median and max seconds of an item over the
+    items of every worker, rounded to 4 places; each item is timed where it
+    runs."""
+    result, took = simulation._timed(time.sleep, 0.01)
+    assert result is None and 0.01 <= took < 1
+    monkeypatch.setattr(simulation, "_last_map", {})
+    monkeypatch.setattr(simulation, "_timed", lambda fn, item: (fn(item), item))  # item = seconds
+    assert simulation._fork_map(float, seconds) == seconds
+    assert simulation._last_map == {"workers": workers,
+                                    "task_s": dict(zip(("min", "median", "max"), task_s))}
+
+
+def test_fork_map_raises_while_a_sibling_blocks_on_a_large_result(monkeypatch):
     """A child stuck writing more than a pipe holds does not keep the error
     of another child from reaching the caller."""
     def fn(k):
@@ -489,25 +524,28 @@ def test_fork_map_raises_while_a_sibling_blocks_on_a_large_result():
             raise ValueError("item 1 failed")
         return bytes(2 << 20) if k == 2 else k
 
+    monkeypatch.setattr(simulation, "_workers", lambda n_tasks: 3)
     with _deadline(30), pytest.raises(ValueError, match="^item 1 failed$"):
-        simulation._fork_map(fn, range(3), 3)
+        simulation._fork_map(fn, range(3))
     assert_no_children()
 
 
-def test_fork_map_stops_its_children_when_this_process_fails():
+def test_fork_map_stops_its_children_when_this_process_fails(monkeypatch):
     def fn(k):
         if k == 0:
             raise KeyError("item 0")
         time.sleep(60)
 
+    monkeypatch.setattr(simulation, "_workers", lambda n_tasks: 2)
     with _deadline(30), pytest.raises(KeyError, match="item 0"):
-        simulation._fork_map(fn, range(2), 2)
+        simulation._fork_map(fn, range(2))
     assert_no_children()
 
 
-def test_fork_map_names_the_status_of_a_child_without_a_result():
+def test_fork_map_names_the_status_of_a_child_without_a_result(monkeypatch):
+    monkeypatch.setattr(simulation, "_workers", lambda n_tasks: 2)
     with pytest.raises(RuntimeError, match="exited with status 3 without a readable result"):
-        simulation._fork_map(lambda k: os._exit(3) if k == 3 else k, range(4), 2)
+        simulation._fork_map(lambda k: os._exit(3) if k == 3 else k, range(4))
     assert_no_children()
 
 
@@ -522,9 +560,10 @@ class _Unreadable:
         return (_refuse, ())
 
 
-def test_fork_map_yields_nothing_of_an_unreadable_result():
+def test_fork_map_yields_nothing_of_an_unreadable_result(monkeypatch):
+    monkeypatch.setattr(simulation, "_workers", lambda n_tasks: 2)
     with pytest.raises(RuntimeError, match="exited with status 0 without a readable result"):
-        simulation._fork_map(lambda k: _Unreadable() if k == 3 else k, range(4), 2)
+        simulation._fork_map(lambda k: _Unreadable() if k == 3 else k, range(4))
     assert_no_children()
 
 
@@ -534,6 +573,7 @@ def test_an_orphaned_child_stops_before_its_next_item(tmp_path):
     code = f"""
 import os, time
 from scorecast import simulation
+simulation._workers = lambda n_tasks: 2
 
 def fn(k):
     if k == 0:  # this process: wait for the child's first item, then die
@@ -544,7 +584,7 @@ def fn(k):
         fh.write(f"{{k}}\\n")
     time.sleep(1.0)
 
-simulation._fork_map(fn, range(10), 2)
+simulation._fork_map(fn, range(10))
 """
     # The child holds the captured output open, so this returns when it ends.
     subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=60, check=True)
@@ -557,11 +597,12 @@ def test_fork_map_forks_on_one_thread_without_a_warning():
     single-threaded process and warns nothing, even with warnings as errors."""
     code = (
         "import numpy as np; from scorecast import simulation\n"
+        "simulation._workers = lambda n_tasks: 2\n"
         "np.ones((300, 300)) @ np.ones((300, 300))\n"
         "def threads(k):\n"
         "    with open('/proc/self/status') as fh:\n"
         "        return int(fh.read().split('Threads:')[1].split()[0])\n"
-        "print(simulation._fork_map(threads, range(2), 2))\n"
+        "print(simulation._fork_map(threads, range(2)))\n"
     )
     if not os.path.exists("/proc/self/status"):
         pytest.skip("no /proc to count threads in")

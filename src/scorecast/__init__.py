@@ -16,13 +16,13 @@ from .crps import (
 from .data import (
     EvaluationSplit,
     MultivariateSeries,
+    ensemble_to_csv,
     load_exchange_rate,
     load_multivariate_csv,
     make_rolling_splits,
 )
 from .forecasters import (
     DummyConfig,
-    ensemble_to_csv,
     evaluate_dummy_on_splits,
     make_dummy_forecast,
     sigma_sweep,
@@ -70,13 +70,13 @@ __all__ = [
     "run_convergence_study",
     "DummyConfig",
     "make_dummy_forecast",
-    "ensemble_to_csv",
     "evaluate_dummy_on_splits",
     "sigma_sweep",
     "MultivariateSeries",
     "EvaluationSplit",
     "load_exchange_rate",
     "load_multivariate_csv",
+    "ensemble_to_csv",
     "make_rolling_splits",
     "__version__",
 ]

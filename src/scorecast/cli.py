@@ -41,7 +41,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import __version__, forecasters, reporting, simulation
+from . import __version__, data, forecasters, reporting, simulation
 from .crps import ESTIMATORS, crps_gaussian_analytic
 from .data import load_ensemble_csv, load_exchange_rate, load_multivariate_csv, make_rolling_splits
 from .multivariate import NORMALIZATION_MODES, ScoreReport, score_report
@@ -283,10 +283,7 @@ def _cmd_sigma_sweep(effective: dict) -> _Run:
 
 def _read_ensemble_csv(path: str) -> np.ndarray:
     """The (S, H, D) ensemble of the --ensemble dump; any failure is a CliError."""
-    p = Path(path)
-    if not p.exists():
-        raise CliError(f"--ensemble: file not found: {p}")
-    return _read("--ensemble", load_ensemble_csv, p)
+    return _read("--ensemble", load_ensemble_csv, path)
 
 
 def _cmd_score(effective: dict) -> _Run:
@@ -436,7 +433,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
         try:
             dumps = [(ensemble, stage(name)) for name, ensemble in run.dumps.items()]
-            simulation._fork_map(lambda dump: forecasters.ensemble_to_csv(*dump), dumps)
+            simulation._fork_map(lambda dump: data.ensemble_to_csv(*dump), dumps)
             for name, (columns, rows) in run.tables.items():
                 reporting.write_csv(stage(name), columns, rows,
                                     meta={"seed": seed, "config": run.config})

@@ -132,7 +132,8 @@ def _quantile(
     q = np.ascontiguousarray(q)
     x = np.expand_dims(obs, -1)
     losses = (alphas - (x < q)) * (x - q)
-    return 2.0 * losses.mean(axis=-1)
+    scores = 2.0 * losses.mean(axis=-1)
+    return np.where(np.isfinite(scores), scores, np.nan)  # an overflow is NaN, as in _sample
 
 
 def _sample(

@@ -19,14 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import chain, cycle, repeat
-from pathlib import Path
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .data import DUMP_HEADER, EvaluationSplit
+from .data import EvaluationSplit, ensemble_to_csv  # the dump writer, re-exported
 from .multivariate import ScoreReport, _check_scoring, _report, _scores
 from .simulation import _fork_map, _stream
 
@@ -94,35 +92,6 @@ def _draw(input_window, horizon: int, kind: str, n_samples: int, rng: np.random.
         raise ValueError(f"horizon must be positive, got {horizon}")
     loc = float(arr[-1].mean()) if kind == "univariate" else arr[-1]
     return loc, rng.standard_normal((n_samples, horizon, arr.shape[1]))
-
-
-# Values formatted per write, which bounds the dump's memory for any ensemble
-# size.  2**14 writes as fast as 2**16 and holds a quarter of the memory.
-_CHUNK = 1 << 14
-
-
-def ensemble_to_csv(ensemble: NDArray[np.float64], path: Union[str, Path]) -> None:
-    """Dump an (S, H, D) ensemble as tidy rows: sample_id, t, dim, value.
-
-    Rows run in C order with ``\\r\\n`` line ends and shortest-repr floats,
-    the bytes ``csv.writer`` writes for them.
-    """
-    ens = np.asarray(ensemble, dtype=np.float64)
-    if ens.ndim != 3:
-        raise ValueError(f"ensemble must be (S, H, D), got {ens.shape}")
-    n_s, n_t, n_d = ens.shape
-    cells = [f",{t},{d}," for t in range(n_t) for d in range(n_d)]
-    step = max(1, _CHUNK // max(1, len(cells)))
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        fh.write(DUMP_HEADER + "\r\n")
-        for start in range(0, n_s, step):
-            chunk = ens[start:start + step]
-            sample_ids = chain.from_iterable(
-                repeat(str(s), len(cells)) for s in range(start, start + len(chunk))
-            )
-            fh.writelines(map(
-                "{}{}{}\r\n".format, sample_ids, cycle(cells), map(repr, chunk.ravel().tolist())
-            ))
 
 
 def _check_evaluation(

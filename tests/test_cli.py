@@ -15,16 +15,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import scorecast
-from scorecast import __version__, forecasters, reporting, simulation
+from scorecast import __version__, data, forecasters, reporting, simulation
 from scorecast.cli import COMMANDS, _read_ensemble_csv, build_parser, main
 from scorecast.crps import ESTIMATORS
 from scorecast.data import (
     _bulk_ensemble,
     _dump_rows,
+    ensemble_to_csv,
     load_multivariate_csv,
     make_rolling_splits,
 )
-from scorecast.forecasters import ensemble_to_csv
 from scorecast.multivariate import score_report
 from scorecast.reporting import artifact_version
 
@@ -498,14 +498,14 @@ def test_a_dump_write_failing_in_a_worker_leaves_no_file(tmp_path, synthetic_ser
                                                          capsys, monkeypatch):
     """A worker's write error is the run's error, and neither the dump the
     worker wrote nor any other file or temporary is left."""
-    parent, write = os.getpid(), forecasters.ensemble_to_csv
+    parent, write = os.getpid(), data.ensemble_to_csv
 
     def fail_in_a_worker(ensemble, path):
         write(ensemble, path)
         if os.getpid() != parent:
             raise OSError(f"cannot write {Path(path).name} in a worker")
 
-    monkeypatch.setattr(forecasters, "ensemble_to_csv", fail_in_a_worker)
+    monkeypatch.setattr(data, "ensemble_to_csv", fail_in_a_worker)
     monkeypatch.setattr(simulation, "_workers", lambda n: min(2, n))
     out = tmp_path / "eval"
     out.mkdir()
@@ -875,10 +875,17 @@ def _mixed_values(shape, seed):
 @pytest.mark.parametrize("shape", [(1, 1, 1), (1, 3000, 2), (5000, 1, 1), (2000, 3, 8),
                                    (683, 3, 8), (3, 0, 2), (0, 2, 2)])
 def test_ensemble_dump_bytes_match_csv_writer(tmp_path, shape):
+    """The writer's bytes are csv.writer's, and the bulk reader takes every
+    non-empty dump the writer makes, NaN and +-inf among its values, and
+    returns it bit for bit: ``score`` never falls to the row loop on one."""
     ens = _mixed_values(shape, seed=sum(shape))
+    non_finite = ens.reshape(-1)[EDGE_VALUES.size:EDGE_VALUES.size + 3]
+    non_finite[:] = [np.nan, np.inf, -np.inf][:non_finite.size]
     ensemble_to_csv(ens, tmp_path / "bulk.csv")
     _csv_writer_dump(ens, tmp_path / "reference.csv")
     assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    if ens.size:
+        assert _bulk_ensemble((tmp_path / "bulk.csv").read_bytes()).tobytes() == ens.tobytes()
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None,
@@ -888,7 +895,7 @@ def test_ensemble_dump_bytes_match_csv_writer(tmp_path, shape):
 def test_ensemble_dump_bytes_match_csv_writer_across_chunks(tmp_path, monkeypatch,
                                                             shape, chunk, seed):
     """Small chunks put many chunk boundaries inside small ensembles."""
-    monkeypatch.setattr(forecasters, "_CHUNK", chunk)
+    monkeypatch.setattr(data, "_CHUNK", chunk)
     ens = _mixed_values(shape, seed)
     ensemble_to_csv(ens, tmp_path / "bulk.csv")
     _csv_writer_dump(ens, tmp_path / "reference.csv")
@@ -943,6 +950,27 @@ HEADER = "sample_id,t,dim,value\r\n"
 def test_dump_rejections_keep_the_row_loop_message(tmp_path, capsys, body, message):
     assert _score_dump(tmp_path, HEADER + body) == 2
     assert capsys.readouterr().err == f"error: --ensemble: {message}\n"
+
+
+def test_score_of_a_missing_dump_names_the_file(tmp_path, capsys):
+    absent = tmp_path / "absent.csv"
+    obs = tmp_path / "obs.csv"
+    obs.write_text("1.0\n")
+    assert main(["score", "--ensemble", str(absent), "--obs", str(obs),
+                 "--out", str(tmp_path / "s")]) == 2
+    assert capsys.readouterr().err == f"error: --ensemble: file not found: {absent}\n"
+
+
+def test_score_of_an_overflowing_dump_writes_nan(tmp_path):
+    """The quantile spread of +-1e308 overflows: score.csv reads nan where
+    score.json reads null, never inf."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _score_dump(tmp_path, HEADER + "0,0,0,1e+308\r\n1,0,0,-1e+308\r\n") == 0
+    _, header, rows = read_report_csv(tmp_path / "s" / "score.csv")
+    row = dict(zip(header, rows[0]))
+    assert [row["crps_sum"], row["crps"], row["es"]] == ["nan"] * 3
+    doc = json.loads((tmp_path / "s" / "score.json").read_text())
+    assert [doc["crps_sum"], doc["crps"], doc["es"]] == [None] * 3
 
 
 def test_a_dump_field_over_the_csv_limit_names_its_row(tmp_path, capsys):

@@ -109,6 +109,17 @@ def test_sample_estimate_overflow_is_nan_not_zero():
             assert math.isnan(crps_sample_estimate([-1.7e308, 1.7e308], 0.0, unbiased))
 
 
+def test_quantile_estimate_overflow_is_nan_not_inf():
+    """The quantiles of +-1e308 are finite, but their spread overflows: NaN,
+    as the other estimators give, never inf.  A finite entry of the same
+    batch keeps its bits."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert math.isnan(crps_quantile([1e308, -1e308], 0.0))
+        batch = crps._quantile(np.array([[1e308, -1e308], [0.5, -2.0]]), np.zeros(2), 20)
+    assert math.isnan(batch[0])
+    assert batch[1:].tobytes() == np.float64(crps_quantile([0.5, -2.0], 0.0)).tobytes()
+
+
 def test_ecdf_equals_all_pairs_estimate(rng):
     """The step integral and the (biased) all-pairs form are the same
     functional, computed by one kernel: equal bit for bit."""

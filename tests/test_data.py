@@ -15,6 +15,7 @@ from scorecast.data import (
     _plain_lines,
     _read,
     _table_rows,
+    load_ensemble_csv,
     load_exchange_rate,
     load_multivariate_csv,
     make_rolling_splits,
@@ -81,6 +82,12 @@ def test_load_rejects_non_finite_tokens(tmp_path):
 def test_load_missing_file():
     with pytest.raises(FileNotFoundError):
         load_multivariate_csv("/nonexistent/file.csv")
+
+
+def test_load_missing_dump(tmp_path):
+    """The dump reader names a missing file itself, as the table reader does."""
+    with pytest.raises(FileNotFoundError, match=f"^file not found: {re.escape(str(tmp_path))}"):
+        load_ensemble_csv(tmp_path / "absent.csv")
 
 
 def test_load_empty_file(tmp_path):

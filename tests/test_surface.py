@@ -32,3 +32,11 @@ def test_all_names_exist(module):
     mod = importlib.import_module(module)
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert missing == []
+
+
+def test_one_dump_writer():
+    """``data`` writes the sample dump; the name ``forecasters`` re-exports,
+    which the benchmark times, is that same function."""
+    from scorecast import data, forecasters
+
+    assert forecasters.ensemble_to_csv is data.ensemble_to_csv
